@@ -17,7 +17,6 @@ from .cgf import (
     CustomModel,
     GaussianModel,
     eval_cgf,
-    mgf_ratio_modulus,
     tilted_sample,
 )
 from .errors import (

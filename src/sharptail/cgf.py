@@ -1,15 +1,24 @@
-"""Cumulant generating functions of the summand distribution.
+"""Cumulant generating functions and tilted characteristic functions.
 
 A :class:`CumulantModel` describes the i.i.d. factor Z of the weighted sum
 S_n = sum_j W_j Z_j through its CGF ``f(t) = log E[exp(t Z)]`` and the first
-three derivatives, plus the complex moment generating function needed for
-characteristic-function diagnostics and a sampler for the exponentially
-tilted law  dP_t/dP = exp(t z) / M(t).
+three derivatives, a sampler for the exponentially tilted law
+dP_t/dP = exp(t z) / M(t), and the log-modulus of the tilted characteristic
+function
+
+    log_abs_tilted_cf(tilt, y) = log |E_tilt exp(i y Z)|
+                               = log |M(tilt + i y)| - f(tilt),
+
+which is all the characteristic-function condition of the sharp estimate
+reads (tilt = W_j theta, y = W_j t).  It is <= 0 everywhere and 0 at y = 0.
 
 Two built-in models cover the supported closed-form cases:
 
-* ``GaussianModel(sigma2)``:  f(t) = sigma2 * t^2 / 2, entire, non-lattice.
-* ``BinomialModel(m, p)``:    f(t) = m * log(1 - p + p e^t), lattice span 1.
+* ``GaussianModel(sigma2)``:  f(t) = sigma2 t^2 / 2, and the tilted CF
+  modulus is exp(-sigma2 y^2 / 2) whatever the tilt.
+* ``BinomialModel(m, p)``:    f(t) = m log(1 - p + p e^t).  Tilting gives
+  Binomial(m, q) with q = expit(tilt + logit p), whose CF modulus is
+  (1 - 4 q(1-q) sin^2(y/2))^(m/2); it returns to 1 at y = 2 pi k (lattice).
 
 Everything else goes through :class:`CustomModel`, which takes every callback
 explicitly; the correctness burden (convexity, entire MGF, derivative
@@ -18,7 +27,6 @@ consistency) then travels with the caller.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -34,22 +42,26 @@ __all__ = [
     "CustomModel",
     "GaussianModel",
     "eval_cgf",
-    "mgf_ratio_modulus",
     "tilted_sample",
 ]
+
+
+def _result(tilt, y, out) -> np.ndarray:
+    """``out``, or a new float array of the shape tilt and y broadcast to."""
+    if out is None:
+        out = np.empty(np.broadcast_shapes(np.shape(tilt), np.shape(y)))
+    return out
 
 
 class CumulantModel:
     """Interface shared by all summand models.
 
     Subclasses must provide vectorized ``f``, ``f1``, ``f2``, ``f3`` (float in,
-    float out, broadcasting over ndarrays), the complex MGF, a stable
-    ``log_abs_mgf``, tilted sampling, and the metadata attributes ``mean``,
-    ``variance``, ``lattice_span`` and ``support``.
+    float out, broadcasting over ndarrays), ``log_abs_tilted_cf``, tilted
+    sampling, and ``support`` for exact enumeration.
     """
 
     kind: str = "abstract"
-    lattice_span: float | None = None
     #: (values, probabilities) for finite-support lattice models, else None
     support: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -65,11 +77,12 @@ class CumulantModel:
     def f3(self, t):
         raise NotImplementedError
 
-    def mgf_complex(self, zeta: complex) -> complex:
-        raise NotImplementedError
+    def log_abs_tilted_cf(self, tilt, y, out=None):
+        """log |E_tilt exp(i y Z)|, broadcasting ``tilt`` against ``y``.
 
-    def log_abs_mgf(self, zeta):
-        """log |M(zeta)| for complex zeta, vectorized and overflow-safe."""
+        ``out``, when given, is a float array of the broadcast shape that
+        receives the result; it may be ``y`` itself.
+        """
         raise NotImplementedError
 
     @property
@@ -108,12 +121,10 @@ class GaussianModel(CumulantModel):
     def f3(self, t):
         return np.zeros_like(np.asarray(t, dtype=float))
 
-    def mgf_complex(self, zeta: complex) -> complex:
-        return cmath.exp(0.5 * self.sigma2 * zeta * zeta)
-
-    def log_abs_mgf(self, zeta):
-        z = np.asarray(zeta, dtype=complex)
-        return 0.5 * self.sigma2 * (z.real * z.real - z.imag * z.imag)
+    def log_abs_tilted_cf(self, tilt, y, out=None):
+        out = np.square(y, out=_result(tilt, y, out))
+        out *= -0.5 * self.sigma2
+        return out
 
     def tilted_batch(self, tilts, size, stream):
         tilts = np.atleast_1d(np.asarray(tilts, dtype=float))
@@ -141,10 +152,6 @@ class BinomialModel(CumulantModel):
             raise ValueError(f"m must be an integer >= 1, got {self.m!r}")
         if not 0.0 < self.p < 1.0:
             raise ValueError(f"p must lie in (0, 1), got {self.p}")
-
-    @property
-    def lattice_span(self) -> float:  # type: ignore[override]
-        return 1.0
 
     @property
     def support(self):  # type: ignore[override]
@@ -175,18 +182,18 @@ class BinomialModel(CumulantModel):
         q = expit(np.asarray(t, dtype=float) + self._logit_p())
         return self.m * q * (1.0 - q) * (1.0 - 2.0 * q)
 
-    def mgf_complex(self, zeta: complex) -> complex:
-        return (1.0 - self.p + self.p * cmath.exp(zeta)) ** self.m
-
-    def log_abs_mgf(self, zeta):
-        z = np.asarray(zeta, dtype=complex)
-        x, y = z.real, z.imag
-        # |1-p+p e^z| = e^x |p e^{iy} + (1-p) e^{-x}| once x > 0
-        big = x > 0.0
-        xs = np.where(big, 0.0, x)
-        direct = np.abs(1.0 - self.p + self.p * np.exp(xs + 1j * y))
-        folded = np.abs(self.p * np.exp(1j * y) + (1.0 - self.p) * np.exp(-np.where(big, x, 0.0)))
-        return self.m * np.where(big, x + np.log(folded), np.log(direct))
+    def log_abs_tilted_cf(self, tilt, y, out=None):
+        # |1 - q + q e^{iy}|^2 = 1 - 4 q(1-q) sin^2(y/2); the sine keeps the
+        # precision that 1 - cos(y) loses at small y
+        x = np.asarray(tilt, dtype=float) + self._logit_p()
+        out = np.multiply(y, 0.5, out=_result(tilt, y, out))
+        np.sin(out, out=out)
+        np.square(out, out=out)
+        out *= -4.0 * expit(x) * expit(-x)
+        with np.errstate(divide="ignore"):  # a zero of the CF is log 0 = -inf
+            np.log1p(out, out=out)
+        out *= 0.5 * self.m
+        return out
 
     def tilted_batch(self, tilts, size, stream):
         tilts = np.atleast_1d(np.asarray(tilts, dtype=float))
@@ -207,16 +214,11 @@ class CustomModel(CumulantModel):
     cgf3: Callable
     mgf: Callable[[complex], complex]
     tilted: Callable[[np.ndarray, int, Stream], np.ndarray]
-    span: float | None = None
     finite_support: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def kind(self) -> str:  # type: ignore[override]
         return self.kind_name
-
-    @property
-    def lattice_span(self):  # type: ignore[override]
-        return self.span
 
     @property
     def support(self):  # type: ignore[override]
@@ -234,13 +236,16 @@ class CustomModel(CumulantModel):
     def f3(self, t):
         return self.cgf3(t)
 
-    def mgf_complex(self, zeta: complex) -> complex:
-        return self.mgf(zeta)
+    def log_abs_tilted_cf(self, tilt, y, out=None):
+        # generic fallback: log |M(tilt + i y)| - log M(tilt)
+        tilt = np.asarray(tilt, dtype=float)
+        num = self._log_modulus(tilt + 1j * np.asarray(y, dtype=float))
+        return np.subtract(num, self._log_modulus(tilt), out=_result(tilt, y, out))
 
-    def log_abs_mgf(self, zeta):
-        z = np.asarray(zeta, dtype=complex)
-        flat = np.array([abs(self.mgf(complex(v))) for v in z.ravel()])
-        return np.log(flat).reshape(z.shape)
+    def _log_modulus(self, zeta: np.ndarray) -> np.ndarray:
+        """log |M(zeta)|, one callback per element."""
+        moduli = [abs(self.mgf(complex(z))) for z in zeta.ravel()]
+        return np.log(moduli).reshape(zeta.shape)
 
     def tilted_batch(self, tilts, size, stream):
         return self.tilted(np.atleast_1d(np.asarray(tilts, dtype=float)), size, stream)
@@ -258,11 +263,3 @@ def tilted_sample(model: CumulantModel, tilt: float, rng: Stream) -> float:
     if not math.isfinite(tilt):
         raise ValueError(f"tilt must be finite, got {tilt}")
     return float(model.tilted_batch(np.array([tilt]), 1, rng)[0, 0])
-
-
-def mgf_ratio_modulus(model: CumulantModel, w: float, theta: float, t: float) -> float:
-    """|M(w(theta + it)) / M(w theta)|, computed in log space; always <= 1."""
-    log_ratio = float(model.log_abs_mgf(complex(w * theta, w * t))) - float(
-        model.log_abs_mgf(complex(w * theta, 0.0))
-    )
-    return math.exp(min(log_ratio, 0.0))

@@ -14,7 +14,9 @@ Every run is driven by a single JSON config validated against the schemas
 shipped in ``sharptail/schemas`` (unknown keys are rejected), with a handful
 of flag overrides.  Emitted documents are deterministic byte-for-byte for a
 fixed config and seed: they contain no timestamps or volatile fields, and
-runtime metadata goes to stderr instead.
+runtime metadata goes to stderr instead.  ``output.format: "csv"`` applies to
+estimate records; check-conditions and fclt, whose records have no CSV form,
+reject it.
 
 Exit codes: 0 success; 2 validation failure; 3 numeric failure (threshold
 out of range, non-convergence, quadrature failure, degenerate inputs);
@@ -179,27 +181,32 @@ def estimate_record(est: TailEstimate, seed: int, **extra) -> dict:
 
 
 def _emit_record(doc: dict, schema_name: str, cfg: dict) -> None:
+    """Validate and write ``doc``; CSV applies to estimate records only."""
     validate_document(doc, schema_name)
     out = cfg.get("output", {})
-    fmt = out.get("format", "json")
-    path = out.get("path")
-    if fmt == "csv" and schema_name == "estimate_record.schema.json":
-        _write_output(_estimate_csv(doc), path)
-    else:
-        _write_output(_dump_json(doc), path)
+    text = _estimate_csv(doc) if out.get("format") == "csv" else _dump_json(doc)
+    _write_output(text, out.get("path"))
 
 
-def _load_config(path: str, overrides: dict, schema_name: str) -> dict:
+def _load_config(path: str, overrides: dict, schema_name: str,
+                 csv_form: bool = True) -> dict:
+    """Read, override and validate a config.
+
+    ``csv_form`` says whether the command's record has a CSV form; when it
+    has none, ``output.format: "csv"`` is rejected before any work is done.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         cfg = json.load(fh)
     for key, value in overrides.items():
         if value is not None:
             cfg[key] = value
     validate_document(cfg, schema_name)
+    if not csv_form and cfg.get("output", {}).get("format") == "csv":
+        raise jsonschema.ValidationError("this record has no CSV form; use format 'json'")
     return cfg
 
 
-def _mc_config(cfg: dict, mode: str, draws: int | None, batches: int | None) -> McConfig:
+def _mc_config(cfg: dict, draws: int | None, batches: int | None) -> McConfig:
     mc = dict(cfg.get("mc", {}))
     n_batches = batches if batches is not None else mc.get("batches", 100)
     if draws is not None:
@@ -207,25 +214,37 @@ def _mc_config(cfg: dict, mode: str, draws: int | None, batches: int | None) -> 
     else:
         batch_size = mc.get("batch_size", 10_000)
     return McConfig(batches=n_batches, batch_size=batch_size,
-                    seed=mc.get("seed", cfg["seed"]), mode=mode)
+                    seed=mc.get("seed", cfg["seed"]))
 
 
-def _conditions_doc(report, defaulted: bool) -> dict:
+def _conditions(cfg: dict, env, cm: CumulantModel, sol) -> dict:
+    """The condition statistics on the config's t-grid, as record fields."""
+    cond_cfg = cfg.get("conditions", {})
+    report = check_conditions(
+        env, cm, sol,
+        cond_cfg.get("delta1", DEFAULT_DELTA1),
+        cond_cfg.get("delta2", DEFAULT_DELTA2),
+        cond_cfg.get("grid_count", DEFAULT_GRID_COUNT),
+    )
     d1, d2, count = report.t_grid
     return {
         "theta_sqrt_n": report.theta_sqrt_n,
         "sigma2": report.sigma2,
         "cf_sup": report.cf_sup,
         "t_grid": {"delta1": d1, "delta2": d2, "count": count,
-                   "defaulted": defaulted},
+                   "defaulted": not cond_cfg},
     }
 
 
-def _single_run_env(cfg: dict):
-    wm = build_w_model(cfg["w"])
+def _threshold_run(args, command: str, csv_form: bool = True):
+    """Config, summand model and environment of a run at one threshold."""
+    cfg = _load_config(args.config, {"a": args.a, "n": args.n, "seed": args.seed},
+                       "run_config.schema.json", csv_form)
+    if "a" not in cfg:
+        raise jsonschema.ValidationError(f"{command} needs a threshold 'a'")
     cm = build_z_model(cfg["z"])
-    env = draw_environment(wm, cfg["n"], derive_stream(cfg["seed"], 0))
-    return wm, cm, env
+    env = draw_environment(build_w_model(cfg["w"]), cfg["n"], derive_stream(cfg["seed"], 0))
+    return cfg, cm, env
 
 
 def _maybe_dump_env(env, path: str | None) -> None:
@@ -234,48 +253,33 @@ def _maybe_dump_env(env, path: str | None) -> None:
 
 
 def cmd_approx(args) -> int:
-    cfg = _load_config(args.config, {"a": args.a, "n": args.n, "seed": args.seed},
-                       "run_config.schema.json")
-    if "a" not in cfg:
-        raise jsonschema.ValidationError("approx needs a threshold 'a'")
-    _, cm, env = _single_run_env(cfg)
+    cfg, cm, env = _threshold_run(args, "approx")
     _maybe_dump_env(env, args.dump_env)
     sol = solve_saddle(env, cm, cfg["a"], cfg.get("theta_star", 1.0))
     est = sldp_estimate(sol, cfg["n"])
-    cond_cfg = cfg.get("conditions", {})
-    report = check_conditions(
-        env, cm, sol,
-        cond_cfg.get("delta1", DEFAULT_DELTA1),
-        cond_cfg.get("delta2", DEFAULT_DELTA2),
-        cond_cfg.get("grid_count", DEFAULT_GRID_COUNT),
-    )
     doc = estimate_record(
         est, cfg["seed"],
         theta=sol.theta, rate=sol.rate, sigma2=sol.sigma2,
         residual=sol.residual, iterations=sol.iterations,
-        conditions=_conditions_doc(report, defaulted=not cond_cfg),
+        conditions=_conditions(cfg, env, cm, sol),
     )
     _emit_record(doc, "estimate_record.schema.json", cfg)
     return 0
 
 
 def cmd_sample(args) -> int:
-    cfg = _load_config(args.config, {"a": args.a, "n": args.n, "seed": args.seed},
-                       "run_config.schema.json")
-    if "a" not in cfg:
-        raise jsonschema.ValidationError("sample needs a threshold 'a'")
-    _, cm, env = _single_run_env(cfg)
+    cfg, cm, env = _threshold_run(args, "sample")
     _maybe_dump_env(env, args.dump_env)
     a = cfg["a"]
     if args.mode == "exact":
         est = exact_enum(env, cm, a)
         doc = estimate_record(est, cfg["seed"])
     elif args.mode == "naive":
-        mc = _mc_config(cfg, "naive", args.draws, args.batches)
+        mc = _mc_config(cfg, args.draws, args.batches)
         est = naive_mc(env, cm, a, mc)
         doc = estimate_record(est, cfg["seed"], draws=mc.draws)
     else:
-        mc = _mc_config(cfg, "tilted", args.draws, args.batches)
+        mc = _mc_config(cfg, args.draws, args.batches)
         sol = solve_saddle(env, cm, a, cfg.get("theta_star", 1.0))
         est = tilted_mc(env, cm, a, sol, mc)
         doc = estimate_record(est, cfg["seed"], theta=sol.theta, draws=mc.draws)
@@ -284,27 +288,16 @@ def cmd_sample(args) -> int:
 
 
 def cmd_check_conditions(args) -> int:
-    cfg = _load_config(args.config, {"a": args.a, "n": args.n, "seed": args.seed},
-                       "run_config.schema.json")
-    if "a" not in cfg:
-        raise jsonschema.ValidationError("check-conditions needs a threshold 'a'")
-    _, cm, env = _single_run_env(cfg)
+    cfg, cm, env = _threshold_run(args, "check-conditions", csv_form=False)
     sol = solve_saddle(env, cm, cfg["a"], cfg.get("theta_star", 1.0))
-    cond_cfg = cfg.get("conditions", {})
-    report = check_conditions(
-        env, cm, sol,
-        cond_cfg.get("delta1", DEFAULT_DELTA1),
-        cond_cfg.get("delta2", DEFAULT_DELTA2),
-        cond_cfg.get("grid_count", DEFAULT_GRID_COUNT),
-    )
     doc = {
         "record": "sharptail/conditions-v1",
         "n": cfg["n"],
         "a": cfg["a"],
         "seed": cfg["seed"],
         "theta": sol.theta,
+        **_conditions(cfg, env, cm, sol),
     }
-    doc.update(_conditions_doc(report, defaulted=not cond_cfg))
     _emit_record(doc, "conditions_record.schema.json", cfg)
     return 0
 
@@ -319,7 +312,7 @@ def _parse_grid(text: str | None, curves, default_count: int = 9):
 
 def cmd_fclt(args) -> int:
     cfg = _load_config(args.config, {"n": args.n, "seed": args.seed},
-                       "run_config.schema.json")
+                       "run_config.schema.json", csv_form=False)
     wm = build_w_model(cfg["w"])
     cm = build_z_model(cfg["z"])
     curves = build_curves(wm, cm, cfg.get("theta_star", 1.0))
@@ -352,10 +345,8 @@ def cmd_fclt(args) -> int:
             for s in report.residual_stats
         ],
     }
-    validate_document(doc, "fclt_record.schema.json")
-    out = cfg.get("output", {})
-    path = out.get("path")
-    _write_output(_dump_json(doc), path)
+    _emit_record(doc, "fclt_record.schema.json", cfg)
+    path = cfg.get("output", {}).get("path")
     csv_path = args.csv or (path + ".csv" if path else None)
     if csv_path:
         with open(csv_path, "w", encoding="utf-8", newline="") as fh:

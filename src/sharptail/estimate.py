@@ -10,9 +10,11 @@ float range.
 
 ``check_conditions`` reports finite-n statistics for the three sufficient
 conditions behind the approximation: growth of theta_n * sqrt(n), positive
-tilted variance, and decay of the conditional characteristic-function ratio
+tilted variance, and decay of the conditional characteristic function of the
+tilted sum (Chaganty and Sethuraman 1993),
 
-    sqrt(n) * sup_t  prod_j |M(W_j(theta + i t)) / M(W_j theta)|
+    sqrt(n) * sup_t  prod_j |E_{W_j theta} exp(i W_j t Z)|
+        = sqrt(n) * sup_t  prod_j |M(W_j(theta + i t)) / M(W_j theta)|,
 
 over a grid spanning [delta1, delta2 * theta_n].  These are diagnostics, not
 certificates: the limit statements they probe are asymptotic, so degenerate
@@ -69,9 +71,11 @@ class TailEstimate:
     """A tail probability with its provenance.
 
     ``log_value`` is always populated; ``value`` is its exponential when that
-    is representable and 0.0 otherwise.  ``stderr`` is present exactly for
-    the Monte Carlo methods.  ``hits`` counts indicator hits for Monte Carlo
-    runs; ``warnings`` carries quality flags such as ``"insufficient_hits"``.
+    is representable and 0.0 otherwise.  ``stderr`` is present for the Monte
+    Carlo methods, except below the draw floor for it and when tilted MC's
+    ``value`` underflows to 0.0 (flagged ``"p_underflow"``).  ``hits`` counts
+    indicator hits for Monte Carlo runs; ``warnings`` carries quality flags
+    such as ``"insufficient_hits"``.
     """
 
     value: float
@@ -149,7 +153,11 @@ def check_conditions(
 
     The grid runs from delta1 to delta2 * theta_n inclusive, so both
     endpoints of the sup range are always probed.  The product over j is
-    accumulated in log space via the models' overflow-safe log |M|.
+    accumulated in log space from the models' closed-form tilted CF modulus
+    ``log_abs_tilted_cf(W_j theta, W_j t)``: for Binomial(m, p) summands
+    (m/2) log1p(-4 q_j(1-q_j) sin^2(W_j t / 2)) with q_j the tilted success
+    probability, and -sigma2 W_j^2 t^2 / 2 for Gaussian ones.  Each j-chunk
+    is built in one real (chunk, grid_count) buffer updated in place.
     """
     if not 0.0 < delta1 < delta2:
         raise ValueError(f"need 0 < delta1 < delta2, got ({delta1}, {delta2})")
@@ -159,13 +167,13 @@ def check_conditions(
     w = env.weights
     n = w.size
     t_grid = np.linspace(delta1, delta2 * theta, grid_count)
+    buf = np.empty((min(n, _CF_CHUNK), grid_count))
     chunk_sums = []
     for start in range(0, n, _CF_CHUNK):
-        wj = w[start:start + _CF_CHUNK]
-        zeta = wj[:, None] * (theta + 1j * t_grid[None, :])
-        num = cm.log_abs_mgf(zeta)
-        den = cm.log_abs_mgf(wj * complex(theta, 0.0))
-        chunk_sums.append(np.sum(num - den[:, None], axis=0))
+        wj = w[start:start + _CF_CHUNK, None]
+        y = np.multiply(wj, t_grid, out=buf[:wj.shape[0]])
+        cm.log_abs_tilted_cf(wj * theta, y, out=y)
+        chunk_sums.append(np.sum(y, axis=0))
     log_prod = np.array([csum(col) for col in np.stack(chunk_sums, axis=1)])
     # each factor has modulus <= 1; clip roundoff drift above 0
     log_sup = float(np.minimum(log_prod, 0.0).max())

@@ -65,13 +65,10 @@ class McConfig:
     batches: int
     batch_size: int
     seed: int
-    mode: str = "tilted"
 
     def __post_init__(self):
         if self.batches < 1 or self.batch_size < 1:
             raise ValueError("batches and batch_size must be >= 1")
-        if self.mode not in ("tilted", "naive"):
-            raise ValueError(f"mode must be 'tilted' or 'naive', got {self.mode!r}")
 
     @property
     def draws(self) -> int:
@@ -137,14 +134,16 @@ def tilted_mc_segments(
         batch_logs[b] = logsumexp(lw) - math.log(cfg.batch_size)
     log_p = logsumexp(batch_logs) - math.log(cfg.batches)
     value = math.exp(log_p) if log_p > math.log(1e-300) else 0.0
-    warnings = []
-    stderr: float | None
-    if cfg.draws >= MIN_DRAWS_FOR_STDERR:
+    # a finite log_p below the linear range: p = 0.0 is not exact, so no
+    # linear stderr either
+    underflow = value == 0.0 and math.isfinite(log_p)
+    warnings = ["p_underflow"] if underflow else []
+    stderr: float | None = None
+    if cfg.draws < MIN_DRAWS_FOR_STDERR:
+        warnings.append("draws_below_stderr_floor")
+    elif not underflow:
         ratios = np.exp(batch_logs - log_p) if math.isfinite(log_p) else np.zeros(cfg.batches)
         stderr = value * float(np.std(ratios, ddof=1)) / math.sqrt(cfg.batches)
-    else:
-        stderr = None
-        warnings.append("draws_below_stderr_floor")
     if hits < MIN_HITS:
         warnings.append("insufficient_hits")
     return TailEstimate(value=value, log_value=log_p, method=METHOD_TILTED,

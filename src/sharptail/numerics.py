@@ -19,19 +19,12 @@ from .errors import QuadratureFailure
 __all__ = [
     "adaptive_gauss_legendre",
     "csum",
-    "cmean",
     "expit",
-    "log_expm1_safe",
     "logsumexp",
 ]
 
 # Exactly rounded sum of a float64 sequence; math.fsum accepts ndarrays.
 csum = math.fsum
-
-
-def cmean(values: np.ndarray) -> float:
-    """Compensated mean: exactly rounded sum divided by the length."""
-    return math.fsum(values) / len(values)
 
 
 def expit(x: np.ndarray | float) -> np.ndarray | float:
@@ -44,14 +37,6 @@ def expit(x: np.ndarray | float) -> np.ndarray | float:
     out[~pos] = ex / (1.0 + ex)
     if out.ndim == 0:
         return float(out)
-    return out
-
-
-def log_expm1_safe(x: np.ndarray) -> np.ndarray:
-    """log(e^x - 1) for x > 0 without overflow."""
-    x = np.asarray(x, dtype=float)
-    small = x < 30.0
-    out = np.where(small, np.log(np.expm1(np.where(small, x, 1.0))), x)
     return out
 
 

@@ -55,10 +55,6 @@ class Stream:
     gen: np.random.Generator
     provenance: tuple[int, ...] = field(default_factory=tuple)
 
-    @property
-    def master_seed(self) -> int:
-        return self.provenance[0] if self.provenance else 0
-
 
 def derive_stream(master: int, *indices: int) -> Stream:
     """Build the stream for (master, *indices) via the documented split."""

@@ -50,15 +50,9 @@ _NORMAL_CUTOFF = 12.0
 
 
 class WeightModel:
-    """Interface for weight distributions.
-
-    ``density_floor`` is ``((c, d), p)`` when the model certifies a density
-    bounded below by p > 0 on [c, d] (needed by the diagnostics for lattice
-    summands); None otherwise.
-    """
+    """Interface for weight distributions."""
 
     kind: str = "abstract"
-    density_floor: tuple[tuple[float, float], float] | None = None
 
     def sample(self, n: int, stream: Stream) -> np.ndarray:
         raise NotImplementedError
@@ -94,7 +88,7 @@ class ConstantWeight(WeightModel):
 
 @dataclass(frozen=True)
 class UniformWeight(WeightModel):
-    """Uniform on [c, d]; density 1/(d-c) certifies the lower-bound floor."""
+    """Uniform on [c, d], with density 1/(d-c)."""
 
     c: float
     d: float
@@ -103,10 +97,6 @@ class UniformWeight(WeightModel):
     def __post_init__(self):
         if not (math.isfinite(self.c) and math.isfinite(self.d) and self.c < self.d):
             raise ValueError(f"need c < d, got [{self.c}, {self.d}]")
-
-    @property
-    def density_floor(self):  # type: ignore[override]
-        return ((self.c, self.d), 1.0 / (self.d - self.c))
 
     def sample(self, n, stream):
         return stream.gen.uniform(self.c, self.d, n)
@@ -213,7 +203,6 @@ class CustomWeight(WeightModel):
     density: Callable[[np.ndarray], np.ndarray] | None = None
     interval: tuple[float, float] | None = None
     expect_fn: Callable[[Callable], float] | None = None
-    floor: tuple[tuple[float, float], float] | None = None
 
     def __post_init__(self):
         if not self.nonzero_certified:
@@ -224,10 +213,6 @@ class CustomWeight(WeightModel):
     @property
     def kind(self) -> str:  # type: ignore[override]
         return self.kind_name
-
-    @property
-    def density_floor(self):  # type: ignore[override]
-        return self.floor
 
     def sample(self, n, stream):
         return np.asarray(self.sampler(n, stream), dtype=float)

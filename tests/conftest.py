@@ -6,6 +6,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 import sharptail as st
+from oracles import complex_mgf
 
 
 @pytest.fixture(scope="session")
@@ -16,6 +17,18 @@ def gaussian():
 @pytest.fixture(scope="session")
 def bernoulli():
     return st.BinomialModel(1, 0.5)
+
+
+@pytest.fixture(scope="session")
+def custom_twin():
+    """Build a CustomModel with a built-in model's callbacks and complex MGF,
+    so its CF diagnostic runs through the generic per-element fallback."""
+    def build(model):
+        return st.CustomModel(
+            kind_name="twin", cgf=model.f, cgf1=model.f1, cgf2=model.f2,
+            cgf3=model.f3, mgf=complex_mgf(model), tilted=model.tilted_batch,
+        )
+    return build
 
 
 @pytest.fixture(scope="session")

@@ -10,6 +10,7 @@ these and the library is then evidence, not circularity.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from fractions import Fraction
@@ -100,6 +101,13 @@ def bahadur_rao_first_correction(u_sqrt_n: float, lam3: float, lam4: float, n: i
     sqrt_n = math.sqrt(n)
     return ((lam4 / 8.0 - 5.0 * lam3**2 / 24.0) / n
             - lam3 / (2.0 * u_sqrt_n * sqrt_n) - 1.0 / u_sqrt_n**2)
+
+
+def complex_mgf(model):
+    """E exp(zeta Z) of a built-in summand model, in plain complex arithmetic."""
+    if model.kind == "gaussian":
+        return lambda z: cmath.exp(0.5 * model.sigma2 * z * z)
+    return lambda z: (1.0 - model.p + model.p * cmath.exp(z)) ** model.m
 
 
 def central_diff(fun, x: float, h: float) -> float:

@@ -2,12 +2,15 @@
 
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as hst
 
 import sharptail as st
-from oracles import central_diff
+from oracles import central_diff, complex_mgf
 
 # 50-digit evaluation of 10*log(0.5 + 0.5*e) via mpmath:
 #   >>> mp.mp.dps = 50; 10*mp.log(mp.mpf(1)/2 + mp.e/2)
@@ -33,13 +36,16 @@ def test_eval_cgf_rejects_nonfinite(gaussian):
         st.eval_cgf(gaussian, math.inf)
 
 
-@pytest.mark.parametrize("model", [
+BUILTIN_MODELS = [
     st.GaussianModel(1.0),
     st.GaussianModel(2.5),
     st.BinomialModel(1, 0.5),
     st.BinomialModel(10, 0.5),
     st.BinomialModel(4, 0.2),
-])
+]
+
+
+@pytest.mark.parametrize("model", BUILTIN_MODELS)
 class TestModelInvariants:
     theta_grid = np.linspace(-5.0, 5.0, 41)
 
@@ -64,47 +70,91 @@ class TestModelInvariants:
             assert fd == pytest.approx(float(model.f3(theta)), abs=1e-5, rel=1e-6)
 
     def test_modulus_bound(self, model):
+        # |tilted CF| <= 1 at tilt = w theta, y = w t; equal to 1 at y = 0
         rng = np.random.default_rng(5)
         for _ in range(50):
             w, theta, t = rng.uniform(-3, 3, 3)
-            ratio = st.mgf_ratio_modulus(model, w, theta, t)
-            assert 0.0 <= ratio <= 1.0
-        assert st.mgf_ratio_modulus(model, 1.3, 0.7, 0.0) == 1.0
+            assert float(model.log_abs_tilted_cf(w * theta, w * t)) <= 0.0
+        assert float(model.log_abs_tilted_cf(1.3 * 0.7, 0.0)) == 0.0
 
     def test_log_abs_mgf_matches_complex_mgf(self, model):
+        # log |M(x + iy)| = f(x) + log |E_x exp(i y Z)|
+        mgf = complex_mgf(model)
         rng = np.random.default_rng(6)
         for _ in range(25):
-            zeta = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-            direct = math.log(abs(model.mgf_complex(zeta)))
-            assert float(model.log_abs_mgf(zeta)) == pytest.approx(direct, rel=1e-12, abs=1e-12)
+            x, y = rng.uniform(-3, 3, 2)
+            direct = math.log(abs(mgf(complex(x, y))))
+            got = float(model.f(x)) + float(model.log_abs_tilted_cf(x, y))
+            assert got == pytest.approx(direct, rel=1e-12, abs=1e-12)
+
+    def test_in_place_matches_fresh_array(self, model):
+        # the (tilt column, y grid) call check_conditions makes, with out = y
+        w = np.linspace(0.1, 2.0, 7)[:, None]
+        y = w * np.linspace(0.05, 3.0, 16)
+        single = [[float(model.log_abs_tilted_cf(0.8 * wi, yij)) for yij in row]
+                  for wi, row in zip(w[:, 0], y)]
+        fresh = model.log_abs_tilted_cf(w * 0.8, y)
+        got = model.log_abs_tilted_cf(w * 0.8, y, out=y)
+        assert got is y
+        np.testing.assert_array_equal(got, fresh)
+        np.testing.assert_allclose(got, single, rtol=1e-14, atol=0.0)
 
 
 def test_gaussian_modulus_closed_form(gaussian):
     # |M(w(theta+it))| / M(w theta) = exp(-sigma2 w^2 t^2 / 2)
-    got = st.mgf_ratio_modulus(gaussian, 2.0, 0.3, 0.5)
+    got = math.exp(float(gaussian.log_abs_tilted_cf(2.0 * 0.3, 2.0 * 0.5)))
     assert got == pytest.approx(math.exp(-0.5), rel=1e-14)
-    numeric = abs(gaussian.mgf_complex(complex(0.6, 1.0))) / gaussian.mgf_complex(0.6).real
+    mgf = complex_mgf(gaussian)
+    numeric = abs(mgf(complex(0.6, 1.0))) / mgf(0.6).real
     assert got == pytest.approx(numeric, rel=1e-12)
 
 
 def test_bernoulli_lattice_periodicity(bernoulli):
     for k in (1, 2, 3):
-        assert st.mgf_ratio_modulus(bernoulli, 1.0, 0.0, 2.0 * math.pi * k) == pytest.approx(1.0, abs=1e-12)
-    # off-period the modulus strictly drops
-    assert st.mgf_ratio_modulus(bernoulli, 1.0, 0.0, math.pi) < 1.0
+        assert float(bernoulli.log_abs_tilted_cf(0.0, 2.0 * math.pi * k)) == pytest.approx(0.0, abs=1e-12)
+    # off-period the modulus strictly drops; E exp(i pi Z) = 0 for Bernoulli(1/2)
+    assert float(bernoulli.log_abs_tilted_cf(0.0, 1.0)) < 0.0
+    assert float(bernoulli.log_abs_tilted_cf(0.0, math.pi)) == -math.inf
 
 
 def test_gaussian_modulus_strictly_below_one(gaussian):
     for t in (0.1, 1.0, 7.0):
-        assert st.mgf_ratio_modulus(gaussian, 1.0, 0.4, t) < 1.0
+        assert float(gaussian.log_abs_tilted_cf(0.4, t)) < 0.0
 
 
 def test_binomial_log_abs_mgf_large_real_part():
     model = st.BinomialModel(3, 0.4)
-    # direct |1-p+p e^z|^m overflows near x = 1000; the folded form must not
-    val = float(model.log_abs_mgf(complex(1000.0, 1.0)))
-    assert math.isfinite(val)
-    assert val == pytest.approx(3 * (1000.0 + math.log(0.4)), rel=1e-9)
+    # the direct |1-p+p e^z|^m overflows near x = 1000; at that tilt the law
+    # is a point mass at m, so the tilted CF modulus is 1
+    val = float(model.log_abs_tilted_cf(1000.0, 1.0))
+    assert val == 0.0
+    assert float(model.f(1000.0)) + val == pytest.approx(3 * (1000.0 + math.log(0.4)), rel=1e-9)
+
+
+def test_binomial_tilted_cf_small_y_keeps_precision():
+    # 1 - cos(y) would round to 0 at y = 1e-9; the sine form gives
+    # (m/2) log1p(-q(1-q) y^2) = -(m/2) q(1-q) y^2 to first order
+    model = st.BinomialModel(4, 0.2)
+    val = float(model.log_abs_tilted_cf(0.0, 1e-9))
+    assert val == pytest.approx(-2.0 * 0.16 * 1e-18, rel=1e-12)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(model=hst.sampled_from(BUILTIN_MODELS),
+       tilt=hst.floats(-50.0, 50.0),
+       y=hst.floats(1e-8, 50.0))
+def test_builtin_tilted_cf_matches_custom_fallback(custom_twin, model, tilt, y):
+    # the fallback is only accurate where |M| is a finite normal float
+    mgf = complex_mgf(model)
+    try:
+        moduli = (abs(mgf(complex(tilt, 0.0))), abs(mgf(complex(tilt, y))))
+    except OverflowError:
+        moduli = (math.inf,)
+    assume(all(sys.float_info.min < m < math.inf for m in moduli))
+    want = float(custom_twin(model).log_abs_tilted_cf(tilt, y))
+    got = float(model.log_abs_tilted_cf(tilt, y))
+    # the fallback subtracts two logs of size |f(tilt)|: that sets its roundoff
+    assert got == pytest.approx(want, rel=1e-9, abs=1e-12 * (1.0 + abs(float(model.f(tilt)))))
 
 
 class TestTiltedSampling:
@@ -166,8 +216,8 @@ def test_custom_model_matches_gaussian(gaussian):
     sol_custom = st.solve_saddle(env, custom, 0.5, 1.0)
     sol_builtin = st.solve_saddle(env, gaussian, 0.5, 1.0)
     assert sol_custom.theta == pytest.approx(sol_builtin.theta, abs=1e-14)
-    assert st.mgf_ratio_modulus(custom, 1.0, 0.2, 0.7) == pytest.approx(
-        st.mgf_ratio_modulus(gaussian, 1.0, 0.2, 0.7), rel=1e-12)
+    assert float(custom.log_abs_tilted_cf(0.2, 0.7)) == pytest.approx(
+        float(gaussian.log_abs_tilted_cf(0.2, 0.7)), rel=1e-12)
 
 
 @pytest.mark.parametrize("bad", [

@@ -1,0 +1,95 @@
+"""The command-line contract: exit codes, record fields and determinism."""
+
+import json
+import math
+
+import pytest
+
+from sharptail import cli
+
+RUN = {"z": {"kind": "binomial", "m": 1, "p": 0.5},
+       "w": {"kind": "uniform", "c": 0.0, "d": 1.0},
+       "n": 2000, "a": 0.3, "theta_star": 1.2, "seed": 3}
+TCELL = {"n": 1000, "z_f": 40, "w_f": 0.25, "tau": {"kind": "exponential", "rate": 1.0},
+         "z": {"kind": "binomial", "m": 10, "p": 0.1}, "a": 0.27, "theta_star": 1.0,
+         "seed": 3}
+PORTFOLIO = {"blocks": [{"q": 500, "w": RUN["w"], "z": RUN["z"]}], "a": 0.3,
+             "theta_star": 1.0, "seed": 3}
+MC_BLOCK = {"batches": 3}
+
+
+@pytest.fixture
+def invoke(tmp_path, capsys):
+    """Run one subcommand on a config; return (exit code, stdout)."""
+    def run(command, config, *flags):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        capsys.readouterr()
+        code = cli.run([command, "--config", str(path), *flags])
+        return code, capsys.readouterr().out
+    return run
+
+
+@pytest.mark.parametrize("conditions", [None, {"delta1": 0.1, "grid_count": 64}])
+def test_approx_and_check_conditions_share_one_path(invoke, conditions):
+    config = dict(RUN, conditions=conditions) if conditions else RUN
+    code, approx_out = invoke("approx", config)
+    assert code == 0
+    code, cond_out = invoke("check-conditions", config)
+    assert code == 0
+    approx_doc, cond_doc = json.loads(approx_out), json.loads(cond_out)
+    fields = {key: cond_doc[key] for key in approx_doc["conditions"]}
+    assert cli._dump_json(fields) == cli._dump_json(approx_doc["conditions"])
+    assert cond_doc["theta"] == approx_doc["theta"]
+    assert fields["t_grid"]["defaulted"] is (conditions is None)
+    # reruns at a fixed config and seed are byte-identical
+    assert invoke("approx", config) == (0, approx_out)
+    assert invoke("check-conditions", config) == (0, cond_out)
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("check-conditions", ()),
+    ("fclt", ("--n", "500", "--replicas", "100", "--grid", "3")),
+])
+def test_csv_format_without_csv_form_exits_2(invoke, command, flags):
+    config = dict(RUN, output={"format": "csv"})
+    assert invoke(command, config, *flags) == (2, "")
+
+
+def test_fclt_honours_output_path(invoke, tmp_path):
+    flags = ("--n", "500", "--replicas", "100", "--grid", "3")
+    code, stdout = invoke("fclt", RUN, *flags)
+    assert code == 0
+    out = tmp_path / "fclt.json"
+    assert invoke("fclt", dict(RUN, output={"path": str(out)}), *flags) == (0, "")
+    assert out.read_text(encoding="utf-8") == stdout
+    assert (tmp_path / "fclt.json.csv").exists()
+
+
+def test_sample_rejects_unknown_mode(invoke):
+    with pytest.raises(SystemExit) as exc:
+        invoke("sample", RUN, "--mode", "other")
+    assert exc.value.code == 2
+
+
+def test_run_config_rejects_mc_mode(invoke):
+    assert invoke("approx", dict(RUN, mc={"mode": "naive"}))[0] == 2
+
+
+@pytest.mark.parametrize("command,config", [("tcell", TCELL), ("portfolio", PORTFOLIO)])
+def test_scenarios_reject_mc_block(invoke, command, config):
+    assert invoke(command, config)[0] == 0
+    assert invoke(command, dict(config, mc=MC_BLOCK)) == (2, "")
+
+
+def test_tilted_mc_underflow_is_flagged(invoke):
+    # p ~ e^-887 is below the linear float range: the record keeps log_p and
+    # drops the linear stderr instead of claiming p = 0 exactly
+    code, stdout = invoke("sample", dict(RUN, seed=1), "--n", "60000", "--draws", "2000")
+    assert code == 0
+    doc = json.loads(stdout)
+    assert doc["p"] == 0.0
+    assert isinstance(doc["log_p"], float) and math.isfinite(doc["log_p"])
+    assert doc["log_p"] < math.log(1e-300)
+    assert "stderr" not in doc
+    assert "p_underflow" in doc["warnings"]

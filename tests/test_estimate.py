@@ -85,6 +85,16 @@ class TestCheckConditions:
         rep = st.check_conditions(env, bernoulli, sol, 2.0 * math.pi, 7.0, 32)
         assert rep.cf_sup == pytest.approx(10.0, rel=1e-12)
 
+    def test_custom_fallback_matches_closed_form(self, uniform_weight, custom_twin):
+        # the same diagnostic from the per-element complex-MGF fallback
+        model = st.BinomialModel(4, 0.2)
+        twin = custom_twin(model)
+        env = st.draw_environment(uniform_weight, 300, st.derive_stream(11, 0))
+        sol = st.solve_saddle(env, model, 0.4, 1.0)
+        got = st.check_conditions(env, model, sol, 0.1, 2.0, 32)
+        want = st.check_conditions(env, twin, sol, 0.1, 2.0, 32)
+        assert got.cf_sup == pytest.approx(want.cf_sup, rel=1e-10)
+
     def test_single_summand_scaling(self, gaussian):
         env = _unit_env(1)
         sol = st.solve_saddle(env, gaussian, 0.5, 1.0)

@@ -161,7 +161,7 @@ class TestMcConfig:
         with pytest.raises(ValueError):
             st.McConfig(batches=0, batch_size=10, seed=0)
         with pytest.raises(ValueError):
-            st.McConfig(batches=10, batch_size=10, seed=0, mode="other")
+            st.McConfig(batches=10, batch_size=0, seed=0)
 
     def test_draws(self):
         assert st.McConfig(batches=7, batch_size=11, seed=0).draws == 77

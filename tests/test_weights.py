@@ -79,11 +79,11 @@ class TestModelValidation:
                             nonzero_certified=False,
                             expect_fn=lambda h: float(h(np.asarray(1.0))))
 
-    def test_uniform_density_floor(self):
+    def test_uniform_expect_density(self):
+        # density 1/(d-c) = 2 on [0.25, 0.75] and zero elsewhere
         wm = st.UniformWeight(0.25, 0.75)
-        (lo, hi), floor = wm.density_floor
-        assert (lo, hi) == (0.25, 0.75)
-        assert floor == pytest.approx(2.0)
+        assert wm.expect(np.ones_like) == pytest.approx(1.0, rel=1e-12)
+        assert wm.expect(lambda w: w - 0.25) == pytest.approx(0.25, rel=1e-12)
 
 
 class TestExpectWeighted:
