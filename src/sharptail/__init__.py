@@ -48,18 +48,15 @@ from .fclt import (
 )
 from .mc import (
     McConfig,
-    Segment,
-    exact_enum,
     exact_enum_segments,
-    naive_mc,
     naive_mc_segments,
-    tilted_mc,
     tilted_mc_segments,
 )
 from .rng import Stream, derive_seed, derive_stream
 from .saddle import (
     SaddleSolution,
-    empirical_psi,
+    Segment,
+    psi_sum,
     solve_deterministic,
     solve_psi_root,
     solve_saddle,
@@ -82,9 +79,7 @@ from .weights import (
     TwoPointWeight,
     UniformWeight,
     WeightModel,
-    build_curves,
     draw_environment,
-    expect_weighted,
 )
 
 __version__ = "0.1.0"

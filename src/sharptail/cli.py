@@ -50,9 +50,11 @@ from .estimate import (
     sldp_estimate,
 )
 from .fclt import fclt_report, sample_fluctuations
-from .mc import McConfig, exact_enum, naive_mc, tilted_mc
+# called through the module, so bench/tracing.py's span on
+# mc.tilted_mc_segments sees every call
+from . import mc
 from .rng import derive_stream
-from .saddle import solve_saddle
+from .saddle import Segment, solve_saddle
 from .scenarios import (
     PortfolioBlock,
     PortfolioScenario,
@@ -62,11 +64,11 @@ from .scenarios import (
 )
 from .weights import (
     ConstantWeight,
+    DeterministicCurves,
     TcellWeight,
     TwoPointWeight,
     UniformWeight,
     WeightModel,
-    build_curves,
     draw_environment,
 )
 
@@ -206,15 +208,15 @@ def _load_config(path: str, overrides: dict, schema_name: str,
     return cfg
 
 
-def _mc_config(cfg: dict, draws: int | None, batches: int | None) -> McConfig:
-    mc = dict(cfg.get("mc", {}))
-    n_batches = batches if batches is not None else mc.get("batches", 100)
+def _mc_config(cfg: dict, draws: int | None, batches: int | None) -> mc.McConfig:
+    spec = cfg.get("mc", {})
+    n_batches = batches if batches is not None else spec.get("batches", 100)
     if draws is not None:
         batch_size = max(1, -(-draws // n_batches))
     else:
-        batch_size = mc.get("batch_size", 10_000)
-    return McConfig(batches=n_batches, batch_size=batch_size,
-                    seed=mc.get("seed", cfg["seed"]))
+        batch_size = spec.get("batch_size", 10_000)
+    return mc.McConfig(batches=n_batches, batch_size=batch_size,
+                       seed=spec.get("seed", cfg["seed"]))
 
 
 def _conditions(cfg: dict, env, cm: CumulantModel, sol) -> dict:
@@ -237,14 +239,14 @@ def _conditions(cfg: dict, env, cm: CumulantModel, sol) -> dict:
 
 
 def _threshold_run(args, command: str, csv_form: bool = True):
-    """Config, summand model and environment of a run at one threshold."""
+    """Config, summand model, environment and its one segment at one threshold."""
     cfg = _load_config(args.config, {"a": args.a, "n": args.n, "seed": args.seed},
                        "run_config.schema.json", csv_form)
     if "a" not in cfg:
         raise jsonschema.ValidationError(f"{command} needs a threshold 'a'")
     cm = build_z_model(cfg["z"])
     env = draw_environment(build_w_model(cfg["w"]), cfg["n"], derive_stream(cfg["seed"], 0))
-    return cfg, cm, env
+    return cfg, cm, env, [Segment(env.weights, cm)]
 
 
 def _maybe_dump_env(env, path: str | None) -> None:
@@ -253,9 +255,9 @@ def _maybe_dump_env(env, path: str | None) -> None:
 
 
 def cmd_approx(args) -> int:
-    cfg, cm, env = _threshold_run(args, "approx")
+    cfg, cm, env, segments = _threshold_run(args, "approx")
     _maybe_dump_env(env, args.dump_env)
-    sol = solve_saddle(env, cm, cfg["a"], cfg.get("theta_star", 1.0))
+    sol = solve_saddle(segments, cfg["a"], cfg.get("theta_star", 1.0))
     est = sldp_estimate(sol, cfg["n"])
     doc = estimate_record(
         est, cfg["seed"],
@@ -268,28 +270,28 @@ def cmd_approx(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    cfg, cm, env = _threshold_run(args, "sample")
+    cfg, _, env, segments = _threshold_run(args, "sample")
     _maybe_dump_env(env, args.dump_env)
     a = cfg["a"]
     if args.mode == "exact":
-        est = exact_enum(env, cm, a)
+        est = mc.exact_enum_segments(segments, a)
         doc = estimate_record(est, cfg["seed"])
     elif args.mode == "naive":
-        mc = _mc_config(cfg, args.draws, args.batches)
-        est = naive_mc(env, cm, a, mc)
-        doc = estimate_record(est, cfg["seed"], draws=mc.draws)
+        budget = _mc_config(cfg, args.draws, args.batches)
+        est = mc.naive_mc_segments(segments, a, budget)
+        doc = estimate_record(est, cfg["seed"], draws=budget.draws)
     else:
-        mc = _mc_config(cfg, args.draws, args.batches)
-        sol = solve_saddle(env, cm, a, cfg.get("theta_star", 1.0))
-        est = tilted_mc(env, cm, a, sol, mc)
-        doc = estimate_record(est, cfg["seed"], theta=sol.theta, draws=mc.draws)
+        budget = _mc_config(cfg, args.draws, args.batches)
+        sol = solve_saddle(segments, a, cfg.get("theta_star", 1.0))
+        est = mc.tilted_mc_segments(segments, a, sol.theta, budget)
+        doc = estimate_record(est, cfg["seed"], theta=sol.theta, draws=budget.draws)
     _emit_record(doc, "estimate_record.schema.json", cfg)
     return 0
 
 
 def cmd_check_conditions(args) -> int:
-    cfg, cm, env = _threshold_run(args, "check-conditions", csv_form=False)
-    sol = solve_saddle(env, cm, cfg["a"], cfg.get("theta_star", 1.0))
+    cfg, cm, env, segments = _threshold_run(args, "check-conditions", csv_form=False)
+    sol = solve_saddle(segments, cfg["a"], cfg.get("theta_star", 1.0))
     doc = {
         "record": "sharptail/conditions-v1",
         "n": cfg["n"],
@@ -315,7 +317,7 @@ def cmd_fclt(args) -> int:
                        "run_config.schema.json", csv_form=False)
     wm = build_w_model(cfg["w"])
     cm = build_z_model(cfg["z"])
-    curves = build_curves(wm, cm, cfg.get("theta_star", 1.0))
+    curves = DeterministicCurves(wm, cm, cfg.get("theta_star", 1.0))
     a_grid = cfg.get("a_grid")
     if args.grid is not None or a_grid is None:
         a_grid = _parse_grid(args.grid, curves)
@@ -362,11 +364,7 @@ def cmd_fclt(args) -> int:
 
 def cmd_tcell(args) -> int:
     cfg = _load_config(args.config, {"seed": args.seed}, "tcell_config.schema.json")
-    tau_spec = cfg["tau"]
-    if tau_spec["kind"] == "exponential":
-        tau = TcellWeight(tau_kind="exponential", rate=tau_spec["rate"])
-    else:
-        tau = TcellWeight(tau_kind="lognormal", mu=tau_spec["mu"], s=tau_spec["s"])
+    tau = build_w_model({**cfg["tau"], "kind": "tcell_" + cfg["tau"]["kind"]})
     sc = TcellScenario(
         n=cfg["n"], z_f=cfg["z_f"], w_f=cfg["w_f"], tau_model=tau,
         z_model=build_z_model(cfg["z"]), a=cfg["a"],
@@ -393,6 +391,19 @@ def cmd_portfolio(args) -> int:
     return 0
 
 
+def _ratio(log_p: float, log_ref: float):
+    """exp(log_p - log_ref), from log_p because p underflows to 0.0 first.
+
+    Empty without a finite reference; inf past the float range.
+    """
+    if not math.isfinite(log_ref):
+        return ""
+    try:
+        return math.exp(log_p - log_ref)
+    except OverflowError:
+        return math.inf
+
+
 def cmd_report(args) -> int:
     records = []
     for path in args.records:
@@ -408,12 +419,9 @@ def cmd_report(args) -> int:
         if other != key:
             raise MismatchedRuns(f"records disagree: {other} vs {key}")
     sldp_rows = [d for d in records if d["method"] == METHOD_SLDP]
-    sldp_p = sldp_rows[0]["p"] if sldp_rows else None
-    rows = []
-    for doc in records:
-        ratio = (doc["p"] / sldp_p) if sldp_p else ""
-        rows.append([doc["method"], doc["p"], doc["log_p"],
-                     doc.get("stderr", ""), ratio])
+    sldp_log_p = float(sldp_rows[0]["log_p"]) if sldp_rows else -math.inf
+    rows = [[doc["method"], doc["p"], doc["log_p"], doc.get("stderr", ""),
+             _ratio(float(doc["log_p"]), sldp_log_p)] for doc in records]
     if args.format == "csv":
         buf = io.StringIO()
         writer = _csv.writer(buf, lineterminator="\n")
@@ -489,8 +497,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def run(argv=None) -> int:
     """Parse, dispatch, and map failures to exit codes."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse: 2 for a rejected flag, 0 for --help
+        return exc.code
     start = time.perf_counter()
     try:
         code = args.handler(args)

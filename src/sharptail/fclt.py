@@ -33,8 +33,8 @@ import numpy as np
 
 from .cgf import CumulantModel
 from .errors import InsufficientReplicas, OutOfRange
-from .saddle import empirical_psi, solve_deterministic, solve_saddle
-from .weights import DeterministicCurves, Environment, WeightModel, draw_environment
+from .saddle import Segment, psi_sum, solve_deterministic, solve_saddle
+from .weights import DeterministicCurves, WeightModel, draw_environment
 from .rng import derive_stream
 
 __all__ = [
@@ -106,7 +106,7 @@ def sample_fluctuations(
     """Draw one environment and measure the fluctuation field on a_grid."""
     a_grid = np.asarray(a_grid, dtype=float)
     stream = derive_stream(seed, replica)
-    env = draw_environment(wm, n, stream)
+    segments = [Segment(draw_environment(wm, n, stream).weights, cm)]
     size = a_grid.size
     theta_grid = np.empty(size)
     X = np.full(size, np.nan)
@@ -119,11 +119,11 @@ def sample_fluctuations(
     for i, a in enumerate(a_grid):
         theta, _ = solve_deterministic(curves, float(a))
         theta_grid[i] = theta
-        X[i] = root_n * (empirical_psi(env, cm, theta, 0) - curves.g(theta))
-        X1[i] = root_n * (empirical_psi(env, cm, theta, 1) - curves.g1(theta))
-        X2[i] = root_n * (empirical_psi(env, cm, theta, 2) - curves.g2(theta))
+        X[i] = root_n * (psi_sum(segments, theta, 0) / n - curves.g(theta))
+        X1[i] = root_n * (psi_sum(segments, theta, 1) / n - curves.g1(theta))
+        X2[i] = root_n * (psi_sum(segments, theta, 2) / n - curves.g2(theta))
         try:
-            sol = solve_saddle(env, cm, float(a), curves.theta_star, x0=theta)
+            sol = solve_saddle(segments, float(a), curves.theta_star, x0=theta)
         except OutOfRange:
             continue
         I_n[i] = sol.rate

@@ -11,11 +11,15 @@ in log space with max subtraction, and the standard error comes from
 replication over batches rather than per-draw variance (robust to the
 heavy-tailed weights near the indicator boundary).
 
-All kernels operate on *segments* -- runs of positions sharing one summand
-model -- so the single-model estimators and the block-structured portfolio
-case share one code path.  Draws are generated in fixed-size chunks from
-per-batch derived streams; identical (seed, config) inputs therefore yield
-bit-identical estimates, independent of available memory.
+Every estimator takes *segments* (:class:`~sharptail.saddle.Segment`, runs
+of positions sharing one summand model): a single-model environment is one
+segment and the block-structured portfolio case is several, so both share
+one code path.  The tilted log normaliser n psi_n(theta) is the undivided
+:func:`~sharptail.saddle.psi_sum`, the kernel the saddle solver uses.
+
+Draws are generated in fixed-size chunks from per-batch derived streams;
+identical (seed, config) inputs therefore yield bit-identical estimates,
+independent of available memory.
 """
 
 from __future__ import annotations
@@ -25,22 +29,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cgf import CumulantModel
 from .errors import NotEnumerable, OutOfRange, TooLarge
 from .estimate import METHOD_EXACT, METHOD_NAIVE, METHOD_TILTED, TailEstimate
 from .numerics import csum, logsumexp
 from .rng import derive_stream
-from .saddle import SaddleSolution
-from .weights import Environment
+from .saddle import Segment, psi_sum
 
 __all__ = [
     "McConfig",
-    "Segment",
-    "exact_enum",
     "exact_enum_segments",
-    "naive_mc",
     "naive_mc_segments",
-    "tilted_mc",
     "tilted_mc_segments",
 ]
 
@@ -75,27 +73,8 @@ class McConfig:
         return self.batches * self.batch_size
 
 
-@dataclass(frozen=True)
-class Segment:
-    """A run of positions with common summand model."""
-
-    weights: np.ndarray
-    cm: CumulantModel
-
-
 def _total_n(segments: list[Segment]) -> int:
     return int(sum(seg.weights.size for seg in segments))
-
-
-def _segment_psi0(segments: list[Segment], theta: float) -> float:
-    """sum_j f_j(W_j theta) over all positions (not divided by n).
-
-    One exactly rounded sum over the concatenated terms, so the value
-    depends only on the multiset of (weight, model) positions.
-    """
-    terms = np.concatenate([np.atleast_1d(seg.cm.f(seg.weights * theta))
-                            for seg in segments])
-    return csum(terms)
 
 
 def _draw_sums(segments: list[Segment], theta: float, rows: int, stream) -> np.ndarray:
@@ -115,7 +94,7 @@ def tilted_mc_segments(
         raise OutOfRange(f"tilting requires a positive saddle point, got {theta:.6g}")
     n = _total_n(segments)
     an = a * n
-    log_norm = _segment_psi0(segments, theta)
+    log_norm = psi_sum(segments, theta, 0)
     chunk_rows = max(1, _CHUNK_ELEMS // n)
     batch_logs = np.empty(cfg.batches)
     hits = 0
@@ -232,22 +211,3 @@ def exact_enum_segments(segments: list[Segment], a: float) -> TailEstimate:
     return TailEstimate(value=p, log_value=log_p, method=METHOD_EXACT,
                         n=n, a=a, stderr=None)
 
-
-def _as_segments(env: Environment, cm: CumulantModel) -> list[Segment]:
-    return [Segment(weights=env.weights, cm=cm)]
-
-
-def tilted_mc(env: Environment, cm: CumulantModel, a: float,
-              sol: SaddleSolution, cfg: McConfig) -> TailEstimate:
-    """Tilted importance sampling against one environment."""
-    return tilted_mc_segments(_as_segments(env, cm), a, sol.theta, cfg)
-
-
-def naive_mc(env: Environment, cm: CumulantModel, a: float, cfg: McConfig) -> TailEstimate:
-    """Untilted baseline; expected to starve on genuinely rare events."""
-    return naive_mc_segments(_as_segments(env, cm), a, cfg)
-
-
-def exact_enum(env: Environment, cm: CumulantModel, a: float) -> TailEstimate:
-    """Brute-force oracle for small lattice instances."""
-    return exact_enum_segments(_as_segments(env, cm), a)

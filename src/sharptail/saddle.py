@@ -1,15 +1,22 @@
-"""Saddle-point solves for the empirical and deterministic mean maps.
+"""The empirical CGF kernel and saddle-point solves.
 
 For a fixed environment the scaled log-MGF of the weighted sum is
 
-    psi_n(t) = (1/n) sum_j f(W_j t),
+    psi_n(t) = (1/n) sum_j f_j(W_j t),
 
-strictly convex with strictly increasing derivative psi_n'.  The tail
-threshold a is admissible when psi_n'(0) < a and the solver finds the unique
-root of psi_n'(t) = a by safeguarded Newton iteration (bisection fallback
-whenever the Newton step leaves the current bracket or stops making
-progress).  Convergence is declared on the residual |psi_n'(t) - a|, which is
-the quantity that enters the downstream tail formulas, not on step size.
+strictly convex with strictly increasing derivative psi_n'.  The positions
+come in :class:`Segment` runs that share one summand model f_j, so the
+non-identically distributed case (Chaganty and Sethuraman 1993) is the
+general form and a single-model environment is one segment.
+:func:`psi_sum` is the one kernel behind every psi_n value: one exactly
+rounded sum over the concatenated terms of all segments, so a value depends
+only on the multiset of (weight, model) positions, never on the layout.
+
+The tail threshold a is admissible when psi_n'(0) < a, and the solver finds
+the unique root of psi_n'(t) = a by safeguarded Newton iteration (bisection
+fallback whenever the Newton step leaves the current bracket or stops making
+progress).  Convergence is declared on the residual |psi_n'(t) - a|, which
+is the quantity that enters the downstream tail formulas, not on step size.
 
 The same machinery solves the deterministic analogue g'(t) = a.
 """
@@ -19,14 +26,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .cgf import CumulantModel
 from .errors import NonConvergence, OutOfRange
 from .numerics import csum
-from .weights import DeterministicCurves, Environment
+from .weights import DeterministicCurves
 
 __all__ = [
     "SaddleSolution",
-    "empirical_psi",
+    "Segment",
+    "psi_sum",
     "solve_psi_root",
     "solve_saddle",
     "solve_deterministic",
@@ -55,19 +65,33 @@ class SaddleSolution:
     a: float
 
 
-def empirical_psi(env: Environment, cm: CumulantModel, theta: float, order: int) -> float:
-    """(1/n) sum of f / W f' / W^2 f'' at W_j * theta, compensated summation."""
-    w = env.weights
-    x = w * theta
-    if order == 0:
-        terms = cm.f(x)
-    elif order == 1:
-        terms = w * cm.f1(x)
-    elif order == 2:
-        terms = w * w * cm.f2(x)
-    else:
+@dataclass(frozen=True)
+class Segment:
+    """A run of positions with common summand model."""
+
+    weights: np.ndarray
+    cm: CumulantModel
+
+
+def psi_sum(segments: list[Segment], theta: float, order: int) -> float:
+    """Exactly rounded sum of f / W f' / W^2 f'' at W_j * theta over all positions.
+
+    Not divided by n: tilted MC uses the order-0 sum as its log normaliser,
+    and dividing then multiplying back would change bits.
+    """
+    if order not in (0, 1, 2):
         raise ValueError(f"order must be 0, 1 or 2, got {order}")
-    return csum(terms) / w.size
+    parts = []
+    for seg in segments:
+        w = seg.weights
+        x = w * theta
+        if order == 0:
+            parts.append(np.atleast_1d(seg.cm.f(x)))
+        elif order == 1:
+            parts.append(np.atleast_1d(w * seg.cm.f1(x)))
+        else:
+            parts.append(np.atleast_1d(w * w * seg.cm.f2(x)))
+    return csum(np.concatenate(parts))
 
 
 def _newton_bisect(
@@ -149,11 +173,12 @@ def solve_psi_root(
                           iterations=iters, residual=residual, a=a)
 
 
-def solve_saddle(env: Environment, cm: CumulantModel, a: float, theta_star: float,
+def solve_saddle(segments: list[Segment], a: float, theta_star: float,
                  x0: float | None = None) -> SaddleSolution:
-    """Saddle point, rate and curvature for one (environment, threshold) pair."""
+    """Saddle point, rate and curvature of psi_n for one threshold."""
+    n = sum(seg.weights.size for seg in segments)
     return solve_psi_root(
-        lambda t, order: empirical_psi(env, cm, t, order), a, theta_star, x0
+        lambda t, order: psi_sum(segments, t, order) / n, a, theta_star, x0
     )
 
 

@@ -9,26 +9,28 @@ plain conditional tail at the shifted threshold a - z_f * W_f / n.
 
 Portfolio losses: positions come in K blocks, each with its own indicator
 weight (position suffers a loss or not) and loss-size model; the total loss
-is the block sum of Z * W.  The block-aware empirical CGF feeds the same
-saddle solver, and with K = 1 the pipeline reduces bit-exactly to the
-homogeneous case.
+is the block sum of Z * W.  Each block is one
+:class:`~sharptail.saddle.Segment`, so a portfolio goes through the same psi
+kernel and saddle solver as a single-model run, which is one segment; with
+K = 1 the pipeline reduces bit-exactly to the homogeneous case.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cgf import BinomialModel, CumulantModel
+from .cgf import CumulantModel
 from .errors import DegenerateEnvironment
 from .estimate import TailEstimate, sldp_estimate
-from .mc import Segment
-from .numerics import csum
 from .rng import derive_stream
-from .saddle import solve_psi_root, solve_saddle
+from .saddle import Segment, solve_saddle
 from .weights import Environment, TcellWeight, WeightModel, draw_environment
+
+# not used here: bench/tracing.py patches these two names on this module
+from .numerics import csum  # noqa: F401
+from .saddle import solve_psi_root  # noqa: F401
 
 __all__ = [
     "PortfolioBlock",
@@ -36,7 +38,6 @@ __all__ = [
     "TcellScenario",
     "portfolio_loss_prob",
     "portfolio_segments",
-    "segments_psi",
     "tcell_activation_prob",
     "tcell_environment",
 ]
@@ -85,7 +86,8 @@ def tcell_activation_prob(sc: TcellScenario, env_seed: int) -> TailEstimate:
     saddle point.
     """
     env = tcell_environment(sc, env_seed)
-    sol = solve_saddle(env, sc.z_model, sc.shifted_threshold, sc.theta_star)
+    sol = solve_saddle([Segment(env.weights, sc.z_model)], sc.shifted_threshold,
+                       sc.theta_star)
     est = sldp_estimate(sol, sc.n)
     # report under the scenario's unshifted threshold
     return replace(est, a=sc.a)
@@ -135,34 +137,7 @@ def portfolio_segments(sc: PortfolioScenario, env_seed: int) -> list[Segment]:
     return segments
 
 
-def segments_psi(segments: list[Segment]) -> "callable":
-    """Block-aware empirical psi(theta, order), compensated over all positions.
-
-    Terms from all blocks are summed in one exactly rounded pass, so the
-    value depends only on the multiset of (weight, model) positions, not on
-    the block layout.
-    """
-    n = sum(seg.weights.size for seg in segments)
-
-    def psi(theta: float, order: int) -> float:
-        parts = []
-        for seg in segments:
-            w = seg.weights
-            x = w * theta
-            if order == 0:
-                parts.append(np.atleast_1d(seg.cm.f(x)))
-            elif order == 1:
-                parts.append(np.atleast_1d(w * seg.cm.f1(x)))
-            else:
-                parts.append(np.atleast_1d(w * w * seg.cm.f2(x)))
-        return csum(np.concatenate(parts)) / n
-
-    return psi
-
-
 def portfolio_loss_prob(sc: PortfolioScenario, env_seed: int) -> TailEstimate:
     """Sharp tail estimate of the total portfolio loss past a * n."""
-    segments = portfolio_segments(sc, env_seed)
-    psi = segments_psi(segments)
-    sol = solve_psi_root(psi, sc.a, sc.theta_star)
+    sol = solve_saddle(portfolio_segments(sc, env_seed), sc.a, sc.theta_star)
     return sldp_estimate(sol, sc.n)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -38,9 +38,7 @@ __all__ = [
     "TwoPointWeight",
     "UniformWeight",
     "WeightModel",
-    "build_curves",
     "draw_environment",
-    "expect_weighted",
 ]
 
 QUAD_REL_TOL = 1e-10
@@ -266,11 +264,6 @@ def draw_environment(wm: WeightModel, n: int, rng: Stream) -> Environment:
     return Environment(weights=w, seed_provenance=rng.provenance)
 
 
-def expect_weighted(wm: WeightModel, h: Callable[[np.ndarray], np.ndarray]) -> float:
-    """E[h(W)]: closed form where available, quadrature otherwise."""
-    return wm.expect(h)
-
-
 class DeterministicCurves:
     """Quadrature-backed g, g1, g2 plus the admissible interval J.
 
@@ -323,8 +316,3 @@ class DeterministicCurves:
         """``count`` equally spaced thresholds strictly inside J."""
         lo, hi = self.J
         return lo + (hi - lo) * (np.arange(1, count + 1) / (count + 1))
-
-
-def build_curves(wm: WeightModel, cm: CumulantModel, theta_star: float) -> DeterministicCurves:
-    """Assemble the deterministic curves for (weight model, summand model)."""
-    return DeterministicCurves(wm, cm, theta_star)

@@ -44,7 +44,7 @@ def uniform_weight():
 @pytest.fixture(scope="session")
 def reference_curves(gaussian, uniform_weight):
     """Gaussian summands, U(0,1) weights, theta_star = 1: J = (0, 1/3)."""
-    return st.build_curves(uniform_weight, gaussian, 1.0)
+    return st.DeterministicCurves(uniform_weight, gaussian, 1.0)
 
 
 @pytest.fixture(scope="session")

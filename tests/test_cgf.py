@@ -213,8 +213,8 @@ def test_custom_model_matches_gaussian(gaussian):
         tilted=lambda tilts, size, stream: stream.gen.standard_normal((size, tilts.size)) + sigma2 * tilts,
     )
     env = st.draw_environment(st.ConstantWeight(1.0), 50, st.derive_stream(1, 0))
-    sol_custom = st.solve_saddle(env, custom, 0.5, 1.0)
-    sol_builtin = st.solve_saddle(env, gaussian, 0.5, 1.0)
+    sol_custom = st.solve_saddle([st.Segment(env.weights, custom)], 0.5, 1.0)
+    sol_builtin = st.solve_saddle([st.Segment(env.weights, gaussian)], 0.5, 1.0)
     assert sol_custom.theta == pytest.approx(sol_builtin.theta, abs=1e-14)
     assert float(custom.log_abs_tilted_cf(0.2, 0.7)) == pytest.approx(
         float(gaussian.log_abs_tilted_cf(0.2, 0.7)), rel=1e-12)

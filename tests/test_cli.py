@@ -1,10 +1,13 @@
 """The command-line contract: exit codes, record fields and determinism."""
 
+import csv
+import io
 import json
 import math
 
 import pytest
 
+import sharptail as st
 from sharptail import cli
 
 RUN = {"z": {"kind": "binomial", "m": 1, "p": 0.5},
@@ -19,15 +22,22 @@ MC_BLOCK = {"batches": 3}
 
 
 @pytest.fixture
-def invoke(tmp_path, capsys):
-    """Run one subcommand on a config; return (exit code, stdout)."""
+def invoke_full(tmp_path, capsys):
+    """Run one subcommand on a config; return (exit code, stdout, stderr)."""
     def run(command, config, *flags):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config), encoding="utf-8")
         capsys.readouterr()
         code = cli.run([command, "--config", str(path), *flags])
-        return code, capsys.readouterr().out
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
     return run
+
+
+@pytest.fixture
+def invoke(invoke_full):
+    """Run one subcommand on a config; return (exit code, stdout)."""
+    return lambda *args: invoke_full(*args)[:2]
 
 
 @pytest.mark.parametrize("conditions", [None, {"delta1": 0.1, "grid_count": 64}])
@@ -67,9 +77,47 @@ def test_fclt_honours_output_path(invoke, tmp_path):
 
 
 def test_sample_rejects_unknown_mode(invoke):
-    with pytest.raises(SystemExit) as exc:
-        invoke("sample", RUN, "--mode", "other")
-    assert exc.value.code == 2
+    assert invoke("sample", RUN, "--mode", "other") == (2, "")
+
+
+def test_help_exits_0(capsys):
+    assert cli.run(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: sharptail")
+
+
+@pytest.mark.parametrize("command,config,flags,code,error", [
+    # the mean map at zero is E[W] / 2 ~ 0.25
+    ("approx", dict(RUN, a=0.1), (), 3, "OutOfRange"),
+    # 2^25 Bernoulli tuples, above the 2^24 cap
+    ("sample", RUN, ("--mode", "exact", "--n", "25"), 4, "TooLarge"),
+    ("fclt", RUN, ("--n", "500", "--replicas", "50", "--grid", "3"), 4,
+     "InsufficientReplicas"),
+])
+def test_failure_exit_codes(invoke_full, command, config, flags, code, error):
+    got, stdout, stderr = invoke_full(command, config, *flags)
+    assert (got, stdout) == (code, "")
+    [line] = stderr.splitlines()
+    diagnostic = json.loads(line)
+    assert diagnostic["error"] == error and diagnostic["message"]
+
+
+def test_approx_csv_record(invoke):
+    code, stdout = invoke("approx", dict(RUN, output={"format": "csv"}))
+    assert code == 0
+    header, row = csv.reader(io.StringIO(stdout))
+    assert header == list(cli.ESTIMATE_CSV_COLUMNS)
+    doc = json.loads(invoke("approx", RUN)[1])
+    assert row == [str(doc.get(col, "")) for col in header]
+
+
+def test_tcell_lognormal_dwell_times(invoke):
+    tau = {"kind": "lognormal", "mu": 0.0, "s": 1.0}
+    code, stdout = invoke("tcell", dict(TCELL, tau=tau, a=0.3))
+    assert code == 0
+    sc = st.TcellScenario(n=1000, z_f=40, w_f=0.25, a=0.3, theta_star=1.0,
+                          tau_model=st.TcellWeight(tau_kind="lognormal", mu=0.0, s=1.0),
+                          z_model=st.BinomialModel(10, 0.1))
+    assert json.loads(stdout)["log_p"] == st.tcell_activation_prob(sc, 3).log_value
 
 
 def test_run_config_rejects_mc_mode(invoke):
@@ -93,3 +141,20 @@ def test_tilted_mc_underflow_is_flagged(invoke):
     assert doc["log_p"] < math.log(1e-300)
     assert "stderr" not in doc
     assert "p_underflow" in doc["warnings"]
+
+
+def test_report_ratio_survives_underflow(invoke, tmp_path, capsys):
+    # both records have p = 0.0; the ratio comes from log_p
+    config = dict(RUN, seed=1, n=60_000)
+    paths = [tmp_path / "sldp.json", tmp_path / "tilted.json"]
+    assert invoke("approx", dict(config, output={"path": str(paths[0])})) == (0, "")
+    assert invoke("sample", dict(config, output={"path": str(paths[1])}),
+                  "--draws", "2000") == (0, "")
+    sldp, tilted = (json.loads(p.read_text(encoding="utf-8")) for p in paths)
+    assert sldp["p"] == tilted["p"] == 0.0
+    capsys.readouterr()
+    assert cli.run(["report", *map(str, paths), "--format", "csv"]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert [float(r["ratio_to_sldp"]) for r in rows] == [
+        1.0, math.exp(tilted["log_p"] - sldp["log_p"])]
+    assert float(rows[1]["ratio_to_sldp"]) == pytest.approx(0.948, abs=0.005)

@@ -15,7 +15,7 @@ def _unit_env(n):
 
 class TestSldpEstimate:
     def test_gaussian_reference_hand_formula(self, gaussian):
-        sol = st.solve_saddle(_unit_env(100), gaussian, 0.5, 1.0)
+        sol = st.solve_saddle([st.Segment(np.ones(100), gaussian)], 0.5, 1.0)
         est = st.sldp_estimate(sol, 100)
         hand = math.exp(-12.5) / (0.5 * math.sqrt(200.0 * math.pi))
         assert est.value == pytest.approx(hand, rel=1e-12)
@@ -28,19 +28,19 @@ class TestSldpEstimate:
         # oracle vets itself against the tabulated tail first
         q5 = normal_upper_tail(5.0)
         assert q5 == pytest.approx(Q5_TABULATED, rel=5e-4)
-        sol = st.solve_saddle(_unit_env(100), gaussian, 0.5, 1.0)
+        sol = st.solve_saddle([st.Segment(np.ones(100), gaussian)], 0.5, 1.0)
         est = st.sldp_estimate(sol, 100)
         assert 1.00 <= est.value / q5 <= 1.08
 
     def test_degenerate_prefactor_raises(self, gaussian):
-        sol = st.solve_saddle(_unit_env(10), gaussian, 0.0, 1.0)
+        sol = st.solve_saddle([st.Segment(np.ones(10), gaussian)], 0.0, 1.0)
         with pytest.raises(st.PrefactorDegenerate):
             st.sldp_estimate(sol, 10)
 
     def test_value_capped_at_one_near_mean(self, gaussian, uniform_weight):
         env = st.draw_environment(uniform_weight, 50, st.derive_stream(6, 0))
-        mean = st.empirical_psi(env, gaussian, 0.0, 1)
-        sol = st.solve_saddle(env, gaussian, mean + 1e-6, 1.0)
+        mean = st.psi_sum([st.Segment(env.weights, gaussian)], 0.0, 1) / env.n
+        sol = st.solve_saddle([st.Segment(env.weights, gaussian)], mean + 1e-6, 1.0)
         est = st.sldp_estimate(sol, 50)
         assert est.value <= 1.0
         assert est.log_value <= 0.0
@@ -49,7 +49,7 @@ class TestSldpEstimate:
     def test_log_space_survives_huge_exponents(self, gaussian):
         # n * I ~ 1.25e5 would overflow any linear representation
         n = 10**6
-        sol = st.solve_saddle(_unit_env(n), gaussian, 0.5, 1.0)
+        sol = st.solve_saddle([st.Segment(np.ones(n), gaussian)], 0.5, 1.0)
         est = st.sldp_estimate(sol, n)
         assert est.value == 0.0
         assert math.isfinite(est.log_value)
@@ -58,10 +58,11 @@ class TestSldpEstimate:
 
     def test_never_exceeds_one_on_grid(self, gaussian, uniform_weight):
         env = st.draw_environment(uniform_weight, 100, st.derive_stream(7, 0))
-        lo = st.empirical_psi(env, gaussian, 0.0, 1)
-        hi = st.empirical_psi(env, gaussian, 1.0, 1)
+        lo = st.psi_sum([st.Segment(env.weights, gaussian)], 0.0, 1) / env.n
+        hi = st.psi_sum([st.Segment(env.weights, gaussian)], 1.0, 1) / env.n
         for a in np.linspace(lo + 1e-9, hi, 25):
-            est = st.sldp_estimate(st.solve_saddle(env, gaussian, float(a), 1.0), 100)
+            sol = st.solve_saddle([st.Segment(env.weights, gaussian)], float(a), 1.0)
+            est = st.sldp_estimate(sol, 100)
             assert est.value <= 1.0
             assert math.isfinite(est.log_value)
 
@@ -69,7 +70,7 @@ class TestSldpEstimate:
 class TestCheckConditions:
     def test_gaussian_unit_closed_form(self, gaussian):
         env = _unit_env(100)
-        sol = st.solve_saddle(env, gaussian, 0.5, 1.0)
+        sol = st.solve_saddle([st.Segment(env.weights, gaussian)], 0.5, 1.0)
         rep = st.check_conditions(env, gaussian, sol, 0.1, 1.0, 64)
         # product over j is exp(-n t^2 / 2); sup on [0.1, 0.5] is at t = 0.1
         assert rep.cf_sup == pytest.approx(10.0 * math.exp(-0.5), rel=1e-12)
@@ -81,7 +82,7 @@ class TestCheckConditions:
         # delta1 at the characteristic-function period: modulus 1 per factor,
         # exposing why lattice summands need a diffuse weight distribution
         env = _unit_env(100)
-        sol = st.solve_saddle(env, bernoulli, 0.75, 1.0)
+        sol = st.solve_saddle([st.Segment(env.weights, bernoulli)], 0.75, 1.0)
         rep = st.check_conditions(env, bernoulli, sol, 2.0 * math.pi, 7.0, 32)
         assert rep.cf_sup == pytest.approx(10.0, rel=1e-12)
 
@@ -90,20 +91,20 @@ class TestCheckConditions:
         model = st.BinomialModel(4, 0.2)
         twin = custom_twin(model)
         env = st.draw_environment(uniform_weight, 300, st.derive_stream(11, 0))
-        sol = st.solve_saddle(env, model, 0.4, 1.0)
+        sol = st.solve_saddle([st.Segment(env.weights, model)], 0.4, 1.0)
         got = st.check_conditions(env, model, sol, 0.1, 2.0, 32)
         want = st.check_conditions(env, twin, sol, 0.1, 2.0, 32)
         assert got.cf_sup == pytest.approx(want.cf_sup, rel=1e-10)
 
     def test_single_summand_scaling(self, gaussian):
         env = _unit_env(1)
-        sol = st.solve_saddle(env, gaussian, 0.5, 1.0)
+        sol = st.solve_saddle([st.Segment(env.weights, gaussian)], 0.5, 1.0)
         rep = st.check_conditions(env, gaussian, sol, 0.1, 1.0, 16)
         assert rep.theta_sqrt_n == pytest.approx(sol.theta, abs=0.0)
 
     def test_statistics_nonnegative_and_validated(self, gaussian):
         env = _unit_env(10)
-        sol = st.solve_saddle(env, gaussian, 0.5, 1.0)
+        sol = st.solve_saddle([st.Segment(env.weights, gaussian)], 0.5, 1.0)
         with pytest.raises(ValueError):
             st.check_conditions(env, gaussian, sol, 0.5, 0.1, 64)
         with pytest.raises(ValueError):
@@ -115,7 +116,7 @@ class TestCheckConditions:
         values = []
         for n in (100, 1_000, 10_000):
             env = _unit_env(n)
-            sol = st.solve_saddle(env, gaussian, 0.5, 1.0)
+            sol = st.solve_saddle([st.Segment(env.weights, gaussian)], 0.5, 1.0)
             rep = st.check_conditions(env, gaussian, sol, delta1, 1.0, 64)
             closed = math.sqrt(n) * math.exp(-n * delta1**2 / 2.0)
             assert rep.cf_sup == pytest.approx(closed, rel=1e-8)
@@ -129,7 +130,7 @@ class TestCheckConditions:
         for n in (10_000, 100_000):
             for r in range(20):
                 env = st.draw_environment(uniform_weight, n, st.derive_stream(505, r))
-                sol = st.solve_saddle(env, gaussian, 0.2, 1.0)
+                sol = st.solve_saddle([st.Segment(env.weights, gaussian)], 0.2, 1.0)
                 rep = st.check_conditions(env, gaussian, sol, 0.1, 1.0, 16)
                 ratios.append(rep.theta_sqrt_n / math.sqrt(n))
         spread = (max(ratios) - min(ratios)) / np.mean(ratios)
@@ -139,7 +140,7 @@ class TestCheckConditions:
         # max sits at delta1 for Gaussian; shrink the window so the right
         # endpoint would be missed by an exclusive grid
         env = _unit_env(50)
-        sol = st.solve_saddle(env, gaussian, 0.5, 1.0)
+        sol = st.solve_saddle([st.Segment(env.weights, gaussian)], 0.5, 1.0)
         rep = st.check_conditions(env, gaussian, sol, 0.3, 0.6001 / sol.theta, 16)
         lo = math.sqrt(50) * math.exp(-50 * 0.09 / 2.0)
         assert rep.cf_sup == pytest.approx(lo, rel=1e-10)

@@ -19,7 +19,7 @@ GRID = [0.1, 0.2, 0.3]
 
 class TestSampleFluctuations:
     def test_constant_weights_are_fluctuation_free(self, gaussian, unit_weight):
-        curves = st.build_curves(unit_weight, gaussian, 1.0)
+        curves = st.DeterministicCurves(unit_weight, gaussian, 1.0)
         s = sample_fluctuations(unit_weight, gaussian, curves, 100, [0.2, 0.5], 0, 1)
         assert np.all(s.X == 0.0) and np.all(s.X1 == 0.0) and np.all(s.X2 == 0.0)
         # random rate collapses onto the deterministic one
@@ -54,7 +54,7 @@ class TestSampleFluctuations:
 
     def test_derivative_coherence_binomial(self, uniform_weight):
         model = st.BinomialModel(1, 0.5)
-        curves = st.build_curves(uniform_weight, model, 1.2)
+        curves = st.DeterministicCurves(uniform_weight, model, 1.2)
         grid = curves.grid(9)
         s = sample_fluctuations(uniform_weight, model, curves, 20_000, grid, 0, 314)
         th, X, X1 = s.theta_grid, s.X, s.X1
@@ -69,7 +69,7 @@ class TestSampleFluctuations:
         # threshold near the top of J leaves the empirical range for some
         # small environments; entries must be masked, not fatal
         model = st.BinomialModel(1, 0.5)
-        curves = st.build_curves(uniform_weight, model, 1.2)
+        curves = st.DeterministicCurves(uniform_weight, model, 1.2)
         grid = [0.30, 0.34]
         sams = [sample_fluctuations(uniform_weight, model, curves, 8, grid, r, 77)
                 for r in range(120)]
@@ -87,7 +87,7 @@ class TestFcltReport:
             fclt_report(sams, reference_curves, uniform_weight, gaussian)
 
     def test_constant_weights_zero_covariance(self, gaussian, unit_weight):
-        curves = st.build_curves(unit_weight, gaussian, 1.0)
+        curves = st.DeterministicCurves(unit_weight, gaussian, 1.0)
         sams = [sample_fluctuations(unit_weight, gaussian, curves, 50,
                                     [0.2, 0.4], r, 9) for r in range(120)]
         rep = fclt_report(sams, curves, unit_weight, gaussian)
@@ -127,7 +127,7 @@ class TestResidualDecomposition:
 
     def test_binomial_gap_decreases_in_n(self, uniform_weight):
         model = st.BinomialModel(1, 0.5)
-        curves = st.build_curves(uniform_weight, model, 1.2)
+        curves = st.DeterministicCurves(uniform_weight, model, 1.2)
         grid = [0.28, 0.30, 0.32]
         medians = []
         for n in (1_000, 10_000, 100_000):

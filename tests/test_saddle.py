@@ -5,54 +5,81 @@ import math
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as hst
+
 import sharptail as st
-from sharptail.saddle import empirical_psi
+from sharptail.saddle import psi_sum
 from oracles import bisect_root
 
 
-def _env(weights):
-    return st.Environment(weights=np.asarray(weights, dtype=float),
-                          seed_provenance=(0,))
+def _seg(weights, cm):
+    """A single-model environment: one segment."""
+    return [st.Segment(np.asarray(weights, dtype=float), cm)]
+
+
+def _psi(segments, theta, order):
+    """psi_n and its derivatives: the kernel's sum divided by n."""
+    return psi_sum(segments, theta, order) / sum(s.weights.size for s in segments)
 
 
 class TestEmpiricalPsi:
     def test_reduces_to_cgf_for_unit_weights(self, gaussian):
-        assert empirical_psi(_env([1.0, 1.0]), gaussian, 2.0, 0) == pytest.approx(2.0, abs=0.0)
+        assert _psi(_seg([1.0, 1.0], gaussian), 2.0, 0) == pytest.approx(2.0, abs=0.0)
 
     def test_order_one_hand_value(self, gaussian):
         # (1*1 + 2*2)/2 * theta at theta = 1
-        assert empirical_psi(_env([1.0, 2.0]), gaussian, 1.0, 1) == pytest.approx(2.5, abs=0.0)
+        assert _psi(_seg([1.0, 2.0], gaussian), 1.0, 1) == pytest.approx(2.5, abs=0.0)
 
     def test_order_zero_hand_value(self, gaussian):
-        got = empirical_psi(_env([1.0, 2.0]), gaussian, 0.4, 0)
+        got = _psi(_seg([1.0, 2.0], gaussian), 0.4, 0)
         assert got == pytest.approx(0.2, rel=1e-15)
+
+    def test_undivided_sum_hand_value(self, gaussian):
+        # W^2 f'' = W^2 for unit-variance Gaussian summands: 1 + 4 + 9
+        assert psi_sum(_seg([1.0, 2.0, 3.0], gaussian), 0.7, 2) == 14.0
 
     def test_invalid_order(self, gaussian):
         with pytest.raises(ValueError):
-            empirical_psi(_env([1.0]), gaussian, 0.0, 3)
+            psi_sum(_seg([1.0], gaussian), 0.0, 3)
+
+
+@pytest.mark.parametrize("cm", [st.BinomialModel(1, 0.5), st.BinomialModel(7, 0.3),
+                                st.GaussianModel(2.5)], ids=["bernoulli", "binomial", "gaussian"])
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(weights=hst.lists(hst.floats(0.0, 3.0), min_size=1, max_size=60),
+       theta=hst.floats(-4.0, 4.0), order=hst.sampled_from((0, 1, 2)),
+       cuts=hst.lists(hst.integers(0, 60), max_size=6), rnd=hst.randoms())
+def test_psi_sum_invariant_under_split_and_permutation(cm, weights, theta, order, cuts, rnd):
+    # permute the positions, cut them into segments and shuffle the
+    # segments: the sum equals the one-segment value bit for bit
+    w = np.asarray(weights)
+    shuffled = w[rnd.sample(range(w.size), w.size)]
+    bounds = sorted({0, w.size, *(c % (w.size + 1) for c in cuts)})
+    pieces = [st.Segment(shuffled[lo:hi], cm) for lo, hi in zip(bounds, bounds[1:])]
+    rnd.shuffle(pieces)
+    assert psi_sum(pieces, theta, order) == psi_sum([st.Segment(w, cm)], theta, order)
 
 
 class TestSolveSaddle:
     def test_gaussian_unit_weights_closed_form(self, gaussian):
-        env = _env(np.ones(17))
-        sol = st.solve_saddle(env, gaussian, 0.5, 1.0)
+        sol = st.solve_saddle(_seg(np.ones(17), gaussian), 0.5, 1.0)
         assert sol.theta == pytest.approx(0.5, abs=1e-13)
         assert sol.rate == pytest.approx(0.125, abs=1e-13)
         assert sol.sigma2 == pytest.approx(1.0, abs=1e-13)
 
     def test_two_weights_hand_algebra_with_bisection_oracle(self, gaussian):
-        env = _env([1.0, 2.0])
-        sol = st.solve_saddle(env, gaussian, 1.0, 1.0)
+        segs = _seg([1.0, 2.0], gaussian)
+        sol = st.solve_saddle(segs, 1.0, 1.0)
         # psi'(t) = 2.5 t, root at 0.4; independent bisection cross-check
-        oracle = bisect_root(lambda t: empirical_psi(env, gaussian, t, 1) - 1.0,
+        oracle = bisect_root(lambda t: _psi(segs, t, 1) - 1.0,
                              0.0, 2.0, tol=1e-14)
         assert sol.theta == pytest.approx(0.4, abs=1e-12)
         assert sol.theta == pytest.approx(oracle, abs=1e-12)
         assert sol.rate == pytest.approx(1.0 * 0.4 - 0.2, abs=1e-12)
 
     def test_bernoulli_relative_entropy(self, bernoulli):
-        env = _env(np.ones(10))
-        sol = st.solve_saddle(env, bernoulli, 0.75, 1.0)
+        sol = st.solve_saddle(_seg(np.ones(10), bernoulli), 0.75, 1.0)
         assert sol.theta == pytest.approx(math.log(3.0), abs=1e-11)
         entropy = 0.75 * math.log(1.5) + 0.25 * math.log(0.5)
         assert sol.rate == pytest.approx(entropy, abs=1e-12)
@@ -60,48 +87,49 @@ class TestSolveSaddle:
     def test_residual_tolerance_invariant(self, gaussian, uniform_weight):
         env = st.draw_environment(uniform_weight, 500, st.derive_stream(3, 0))
         for a in (0.05, 0.1, 0.2, 0.3):
-            sol = st.solve_saddle(env, gaussian, a, 1.0)
+            sol = st.solve_saddle(_seg(env.weights, gaussian), a, 1.0)
             assert sol.residual <= 1e-12 * max(1.0, abs(a))
             assert sol.sigma2 > 0.0
             assert sol.rate >= 0.0
 
     def test_theta_strictly_increasing_in_a(self, gaussian, uniform_weight):
         env = st.draw_environment(uniform_weight, 200, st.derive_stream(4, 0))
-        thetas = [st.solve_saddle(env, gaussian, a, 1.0).theta
+        thetas = [st.solve_saddle(_seg(env.weights, gaussian), a, 1.0).theta
                   for a in np.linspace(0.02, 0.3, 12)]
         assert np.all(np.diff(thetas) > 0.0)
 
     def test_below_mean_out_of_range(self, gaussian):
         with pytest.raises(st.OutOfRange):
-            st.solve_saddle(_env(np.ones(5)), gaussian, -0.1, 1.0)
+            st.solve_saddle(_seg(np.ones(5), gaussian), -0.1, 1.0)
 
     def test_bracket_cap_out_of_range(self, bernoulli):
         # Bernoulli mean map saturates at 1; a = 1.5 is unreachable
         with pytest.raises(st.OutOfRange):
-            st.solve_saddle(_env(np.ones(5)), bernoulli, 1.5, 1.0)
+            st.solve_saddle(_seg(np.ones(5), bernoulli), 1.5, 1.0)
 
     def test_threshold_exactly_at_mean(self, gaussian):
-        sol = st.solve_saddle(_env(np.ones(5)), gaussian, 0.0, 1.0)
+        sol = st.solve_saddle(_seg(np.ones(5), gaussian), 0.0, 1.0)
         assert sol.theta == 0.0 and sol.rate == 0.0
         with pytest.raises(st.PrefactorDegenerate):
             st.sldp_estimate(sol, 5)
 
     def test_bracket_expansion_beyond_theta_star(self, gaussian):
         # theta(a) = 12 with theta_star = 1 forces 4 doublings
-        sol = st.solve_saddle(_env(np.ones(5)), gaussian, 12.0, 1.0)
+        sol = st.solve_saddle(_seg(np.ones(5), gaussian), 12.0, 1.0)
         assert sol.theta == pytest.approx(12.0, rel=1e-12)
 
     def test_legendre_duality_maxima(self, gaussian, uniform_weight):
         env = st.draw_environment(uniform_weight, 300, st.derive_stream(5, 0))
-        lo = empirical_psi(env, gaussian, 0.0, 1)
-        hi = empirical_psi(env, gaussian, 1.0, 1)
+        segs = _seg(env.weights, gaussian)
+        lo = _psi(segs, 0.0, 1)
+        hi = _psi(segs, 1.0, 1)
         rng = np.random.default_rng(11)
         for a in rng.uniform(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo), 50):
-            sol = st.solve_saddle(env, gaussian, float(a), 1.0)
-            val = a * sol.theta - empirical_psi(env, gaussian, sol.theta, 0)
+            sol = st.solve_saddle(segs, float(a), 1.0)
+            val = a * sol.theta - _psi(segs, sol.theta, 0)
             for eps in (1e-4, -1e-4):
                 t = sol.theta + eps
-                perturbed = a * t - empirical_psi(env, gaussian, t, 0)
+                perturbed = a * t - _psi(segs, t, 0)
                 assert perturbed < val
 
     def test_saddle_converges_to_deterministic_in_n(self, gaussian, uniform_weight,
@@ -115,7 +143,7 @@ class TestSolveSaddle:
         for r in range(100):
             for j, n in enumerate(sizes):
                 env = st.draw_environment(uniform_weight, n, st.derive_stream(606, r, j))
-                sol = st.solve_saddle(env, gaussian, a, 1.0)
+                sol = st.solve_saddle(_seg(env.weights, gaussian), a, 1.0)
                 errors[r, j] = abs(sol.theta - theta_det)
         medians = np.median(errors, axis=0)
         assert np.all(np.diff(medians) < 0.0)
@@ -129,24 +157,24 @@ class TestSolveDeterministic:
         assert rate == pytest.approx(0.06, rel=1e-9)
 
     def test_constant_weights_match_empirical(self, gaussian, unit_weight):
-        curves = st.build_curves(unit_weight, gaussian, 1.0)
+        curves = st.DeterministicCurves(unit_weight, gaussian, 1.0)
         theta, rate = st.solve_deterministic(curves, 0.5)
         assert theta == pytest.approx(0.5, abs=1e-12)
         assert rate == pytest.approx(0.125, abs=1e-12)
 
     def test_bernoulli_entropy(self, bernoulli, unit_weight):
-        curves = st.build_curves(unit_weight, bernoulli, 1.0)
+        curves = st.DeterministicCurves(unit_weight, bernoulli, 1.0)
         theta, rate = st.solve_deterministic(curves, 0.6)
         assert theta == pytest.approx(math.log(1.5), abs=1e-11)
         entropy = 0.6 * math.log(1.2) + 0.4 * math.log(0.8)
         assert rate == pytest.approx(entropy, abs=1e-12)
 
     def test_matches_empirical_solver_for_constant_weights(self, gaussian, unit_weight):
-        curves = st.build_curves(unit_weight, gaussian, 1.0)
+        curves = st.DeterministicCurves(unit_weight, gaussian, 1.0)
         env = st.draw_environment(unit_weight, 50, st.derive_stream(0, 0))
         for a in np.linspace(0.05, 0.9, 9):
             det_theta, det_rate = st.solve_deterministic(curves, float(a))
-            sol = st.solve_saddle(env, gaussian, float(a), 1.0)
+            sol = st.solve_saddle(_seg(env.weights, gaussian), float(a), 1.0)
             assert det_theta == pytest.approx(sol.theta, abs=1e-10)
             assert det_rate == pytest.approx(sol.rate, abs=1e-10)
 

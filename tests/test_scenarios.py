@@ -7,15 +7,14 @@ import pytest
 
 import sharptail as st
 from oracles import bahadur_rao_first_correction, normal_upper_tail, tilted_lattice_cumulants
-from sharptail.mc import Segment, exact_enum_segments, tilted_mc_segments
-from sharptail.saddle import solve_psi_root
+from sharptail.mc import exact_enum_segments, tilted_mc_segments
+from sharptail.saddle import Segment
 from sharptail.scenarios import (
     PortfolioBlock,
     PortfolioScenario,
     TcellScenario,
     portfolio_loss_prob,
     portfolio_segments,
-    segments_psi,
     tcell_activation_prob,
     tcell_environment,
 )
@@ -36,7 +35,7 @@ class TestTcell:
         sc = _tcell(z_f=0, w_f=0.0)
         est = tcell_activation_prob(sc, 2718)
         env = tcell_environment(sc, 2718)
-        sol = st.solve_saddle(env, Z10, sc.a, 1.0)
+        sol = st.solve_saddle([Segment(env.weights, Z10)], sc.a, 1.0)
         plain = st.sldp_estimate(sol, sc.n)
         assert est.log_value == plain.log_value
 
@@ -45,7 +44,7 @@ class TestTcell:
         est = tcell_activation_prob(sc, 2718)
         env = tcell_environment(sc, 2718)
         shifted = sc.a - sc.z_f * sc.w_f / sc.n
-        sol = st.solve_saddle(env, Z10, shifted, 1.0)
+        sol = st.solve_saddle([Segment(env.weights, Z10)], shifted, 1.0)
         assert est.log_value == st.sldp_estimate(sol, sc.n).log_value
         assert est.a == sc.a
 
@@ -75,9 +74,10 @@ class TestTcell:
         est = tcell_activation_prob(sc, 2718)
         env = tcell_environment(sc, 2718)
         shifted = sc.shifted_threshold
-        sol = st.solve_saddle(env, Z10, shifted, 1.0)
-        mc = st.tilted_mc(env, Z10, shifted, sol,
-                          st.McConfig(batches=100, batch_size=2_000, seed=5))
+        segs = [Segment(env.weights, Z10)]
+        sol = st.solve_saddle(segs, shifted, 1.0)
+        mc = tilted_mc_segments(segs, shifted, sol.theta,
+                                st.McConfig(batches=100, batch_size=2_000, seed=5))
         assert mc.warnings == () and mc.stderr > 0.0
         k2, k3, k4 = tilted_lattice_cumulants(env.weights, *Z10.support, sol.theta)
         c1 = bahadur_rao_first_correction(sol.theta * math.sqrt(k2 * sc.n),
@@ -110,7 +110,7 @@ class TestPortfolio:
     def test_single_block_reduces_bit_exactly(self):
         est = portfolio_loss_prob(_portfolio(qs=(12,)), 5)
         env = st.draw_environment(INDICATOR, 12, st.derive_stream(5, 0))
-        sol = st.solve_saddle(env, BERN, 0.3, 1.0)
+        sol = st.solve_saddle([Segment(env.weights, BERN)], 0.3, 1.0)
         assert est.log_value == st.sldp_estimate(sol, 12).log_value
 
     def test_two_blocks_against_enumeration_and_tilted_mc(self):
@@ -119,7 +119,7 @@ class TestPortfolio:
         est = portfolio_loss_prob(sc, 1)
         exact = exact_enum_segments(segs, sc.a)
         assert abs(est.value / exact.value - 1.0) <= 0.30
-        sol = solve_psi_root(segments_psi(segs), sc.a, 1.0)
+        sol = st.solve_saddle(segs, sc.a, 1.0)
         mc = tilted_mc_segments(segs, sc.a, sol.theta,
                                 st.McConfig(batches=100, batch_size=10_000, seed=77))
         assert abs(mc.value - exact.value) <= 4 * mc.stderr
@@ -146,7 +146,7 @@ class TestPortfolio:
                     Segment(weights=w1[::-1].copy(), cm=BERN)]
         merged = [Segment(weights=np.concatenate([w2, w1]), cm=BERN)]
         a = 0.35
-        sols = [solve_psi_root(segments_psi(seg), a, 1.0) for seg in
+        sols = [st.solve_saddle(seg, a, 1.0) for seg in
                 (layout_a, layout_b, merged)]
         assert sols[0].theta == sols[1].theta == sols[2].theta
         ests = [st.sldp_estimate(s, 9).log_value for s in sols]

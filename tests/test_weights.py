@@ -88,15 +88,15 @@ class TestModelValidation:
 
 class TestExpectWeighted:
     def test_constant_point_mass(self):
-        assert st.expect_weighted(st.ConstantWeight(2.0), lambda w: w * w) == 4.0
+        assert st.ConstantWeight(2.0).expect(lambda w: w * w) == 4.0
 
     def test_uniform_square_ten_digits(self, uniform_weight):
-        got = st.expect_weighted(uniform_weight, lambda w: w * w)
+        got = uniform_weight.expect(lambda w: w * w)
         assert got == pytest.approx(1.0 / 3.0, rel=1e-10)
 
     def test_two_point_hand_value(self):
         wm = st.TwoPointWeight((-1.0, 3.0), (0.5, 0.5))
-        assert st.expect_weighted(wm, lambda w: w) == pytest.approx(1.0, abs=1e-15)
+        assert wm.expect(lambda w: w) == pytest.approx(1.0, abs=1e-15)
 
     def test_quadrature_failure_when_node_cap_hit(self):
         # oscillation far beyond what 2^14 nodes can resolve
@@ -179,14 +179,14 @@ class TestCurves:
             assert reference_curves.g(theta) == pytest.approx(theta**2 / 6.0, rel=1e-10)
 
     def test_constant_weight_reduces_to_cgf(self, gaussian, unit_weight):
-        curves = st.build_curves(unit_weight, gaussian, 2.0)
+        curves = st.DeterministicCurves(unit_weight, gaussian, 2.0)
         assert curves.J == pytest.approx((0.0, 2.0), rel=1e-12)
         for theta in (0.3, 1.1, 1.9):
             assert curves.g(theta) == pytest.approx(theta**2 / 2.0, rel=1e-14)
             assert curves.g1(theta) == pytest.approx(theta, rel=1e-14)
 
     def test_bernoulli_constant_interval(self, bernoulli, unit_weight):
-        curves = st.build_curves(unit_weight, bernoulli, math.log(3.0))
+        curves = st.DeterministicCurves(unit_weight, bernoulli, math.log(3.0))
         assert curves.J[0] == pytest.approx(0.5, rel=1e-14)
         assert curves.J[1] == pytest.approx(0.75, rel=1e-12)
 
@@ -196,7 +196,7 @@ class TestCurves:
         st.TcellWeight(tau_kind="exponential", rate=1.0),
     ])
     def test_mean_map_increasing_curvature_positive(self, cm, wm):
-        curves = st.build_curves(wm, cm, 1.0)
+        curves = st.DeterministicCurves(wm, cm, 1.0)
         grid = np.linspace(0.0, 1.0, 100)
         g1_vals = np.array([curves.g1(t) for t in grid])
         g2_vals = np.array([curves.g2(t) for t in grid])
@@ -222,8 +222,8 @@ class TestCurves:
             tilted=lambda tilts, size, stream: np.zeros((size, tilts.size)),
         )
         with pytest.raises(st.EmptyInterval):
-            st.build_curves(st.ConstantWeight(1.0), broken, 1.0)
+            st.DeterministicCurves(st.ConstantWeight(1.0), broken, 1.0)
 
     def test_theta_star_must_be_positive(self, gaussian, uniform_weight):
         with pytest.raises(ValueError):
-            st.build_curves(uniform_weight, gaussian, 0.0)
+            st.DeterministicCurves(uniform_weight, gaussian, 0.0)
