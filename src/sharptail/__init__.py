@@ -16,8 +16,6 @@ from .cgf import (
     CumulantModel,
     CustomModel,
     GaussianModel,
-    eval_cgf,
-    tilted_sample,
 )
 from .errors import (
     CAPACITY_ERRORS,
@@ -41,8 +39,10 @@ from .estimate import (
     sldp_estimate,
 )
 from .fclt import (
+    FcltGrid,
     FcltReport,
     FluctuationSample,
+    fclt_grid,
     fclt_report,
     sample_fluctuations,
 )

@@ -41,8 +41,6 @@ __all__ = [
     "CumulantModel",
     "CustomModel",
     "GaussianModel",
-    "eval_cgf",
-    "tilted_sample",
 ]
 
 
@@ -250,16 +248,3 @@ class CustomModel(CumulantModel):
     def tilted_batch(self, tilts, size, stream):
         return self.tilted(np.atleast_1d(np.asarray(tilts, dtype=float)), size, stream)
 
-
-def eval_cgf(model: CumulantModel, theta: float) -> float:
-    """Evaluate the CGF at a real point via the model's closed form."""
-    if not math.isfinite(theta):
-        raise ValueError(f"theta must be finite, got {theta}")
-    return float(model.f(theta))
-
-
-def tilted_sample(model: CumulantModel, tilt: float, rng: Stream) -> float:
-    """One draw from the law with density exp(tilt * z) / M(tilt)."""
-    if not math.isfinite(tilt):
-        raise ValueError(f"tilt must be finite, got {tilt}")
-    return float(model.tilted_batch(np.array([tilt]), 1, rng)[0, 0])

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import csv as _csv
+import dataclasses
 import io
 import json
 import math
@@ -49,7 +50,7 @@ from .estimate import (
     check_conditions,
     sldp_estimate,
 )
-from .fclt import fclt_report, sample_fluctuations
+from .fclt import fclt_grid, fclt_report, sample_fluctuations
 # called through the module, so bench/tracing.py's span on
 # mc.tilted_mc_segments sees every call
 from . import mc
@@ -209,6 +210,9 @@ def _load_config(path: str, overrides: dict, schema_name: str,
 
 
 def _mc_config(cfg: dict, draws: int | None, batches: int | None) -> mc.McConfig:
+    for flag, value in (("--draws", draws), ("--batches", batches)):
+        if value is not None and value < 1:
+            raise ValueError(f"{flag} must be >= 1, got {value}")
     spec = cfg.get("mc", {})
     n_batches = batches if batches is not None else spec.get("batches", 100)
     if draws is not None:
@@ -308,44 +312,36 @@ def _parse_grid(text: str | None, curves, default_count: int = 9):
     if text is None:
         return curves.grid(default_count)
     if "," in text or "." in text:
-        return [float(tok) for tok in text.split(",") if tok]
-    return curves.grid(int(text))
+        grid = [float(tok) for tok in text.split(",") if tok]
+    else:
+        grid = curves.grid(int(text))
+    if len(grid) < 1:
+        raise ValueError(f"--grid needs at least one threshold, got {text!r}")
+    return grid
 
 
 def cmd_fclt(args) -> int:
     cfg = _load_config(args.config, {"n": args.n, "seed": args.seed},
                        "run_config.schema.json", csv_form=False)
-    wm = build_w_model(cfg["w"])
-    cm = build_z_model(cfg["z"])
-    curves = DeterministicCurves(wm, cm, cfg.get("theta_star", 1.0))
+    curves = DeterministicCurves(build_w_model(cfg["w"]), build_z_model(cfg["z"]),
+                                 cfg.get("theta_star", 1.0))
     a_grid = cfg.get("a_grid")
     if args.grid is not None or a_grid is None:
         a_grid = _parse_grid(args.grid, curves)
-    samples = [
-        sample_fluctuations(wm, cm, curves, cfg["n"], a_grid, r, cfg["seed"])
-        for r in range(args.replicas)
-    ]
-    report = fclt_report(samples, curves, wm, cm)
+    grid = fclt_grid(curves, cfg["n"], a_grid)
+    samples = [sample_fluctuations(grid, r, cfg["seed"]) for r in range(args.replicas)]
+    report = fclt_report(samples, grid)
     doc = {
         "record": "sharptail/fclt-v1",
         "n": report.n,
         "replicas": report.replicas,
         "seed": cfg["seed"],
-        "a_grid": [float(a) for a in report.a_grid],
-        "theta_grid": [float(t) for t in report.theta_grid],
+        "a_grid": report.a_grid.tolist(),
+        "theta_grid": report.theta_grid.tolist(),
         "empirical_cov": report.empirical_cov.tolist(),
         "analytic_cov": report.analytic_cov.tolist(),
         "max_abs_cov_error": report.max_abs_cov_error,
-        "residual_stats": [
-            {
-                "a": s.a,
-                "median_abs_residual_gap": s.median_abs_residual_gap,
-                "median_abs_delta_gap": s.median_abs_delta_gap,
-                "median_abs_residual": s.median_abs_residual,
-                "replicas": s.replicas,
-            }
-            for s in report.residual_stats
-        ],
+        "residual_stats": [dataclasses.asdict(s) for s in report.residual_stats],
     }
     _emit_record(doc, "fclt_record.schema.json", cfg)
     path = cfg.get("output", {}).get("path")

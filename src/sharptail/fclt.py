@@ -20,8 +20,13 @@ quadratic, i.e. Gaussian summands).  The saddle shift delta = theta_n(a) -
 theta(a) has leading term -n^{-1/2} X1 / (g2 + n^{-1/2} X2) and is recorded
 alongside.
 
-This module measures all of these per replica and aggregates empirical
-versus analytic covariance plus residual-gap statistics.
+theta(a), I(a) and g, g1, g2 at theta(a) depend on the weight law, the
+summand law and the threshold only, not on the replica.  :func:`fclt_grid`
+solves them once per threshold into an :class:`FcltGrid`; every replica
+(:func:`sample_fluctuations`) and the aggregation (:func:`fclt_report`)
+read that one grid, and a :class:`FluctuationSample` holds per-replica data
+only.  The report compares empirical with analytic covariance and measures
+the residual gaps of the decomposition.
 """
 
 from __future__ import annotations
@@ -31,23 +36,38 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cgf import CumulantModel
 from .errors import InsufficientReplicas, OutOfRange
 from .saddle import Segment, psi_sum, solve_deterministic, solve_saddle
-from .weights import DeterministicCurves, WeightModel, draw_environment
+from .weights import DeterministicCurves, draw_environment
 from .rng import derive_stream
 
 __all__ = [
+    "FcltGrid",
     "FcltReport",
     "FluctuationSample",
     "ResidualStats",
+    "fclt_grid",
     "fclt_report",
-    "fluctuation_matrix",
     "residual_gap_matrix",
     "sample_fluctuations",
 ]
 
 MIN_REPLICAS = 100
+
+
+@dataclass(frozen=True)
+class FcltGrid:
+    """The deterministic side of a study: per threshold a, the saddle point
+    theta(a), the rate I(a) and the curves g, g1, g2 at theta(a)."""
+
+    curves: DeterministicCurves
+    n: int
+    a_grid: np.ndarray
+    theta_grid: np.ndarray
+    rate: np.ndarray
+    g: np.ndarray
+    g1: np.ndarray
+    g2: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -59,10 +79,7 @@ class FluctuationSample:
     ``valid``) rather than raised.
     """
 
-    n: int
     replica: int
-    a_grid: np.ndarray
-    theta_grid: np.ndarray
     X: np.ndarray
     X1: np.ndarray
     X2: np.ndarray
@@ -94,93 +111,72 @@ class FcltReport:
     residual_stats: tuple[ResidualStats, ...]
 
 
-def sample_fluctuations(
-    wm: WeightModel,
-    cm: CumulantModel,
-    curves: DeterministicCurves,
-    n: int,
-    a_grid,
-    replica: int,
-    seed: int,
-) -> FluctuationSample:
-    """Draw one environment and measure the fluctuation field on a_grid."""
+def fclt_grid(curves: DeterministicCurves, n: int, a_grid) -> FcltGrid:
+    """Solve g'(theta) = a once per threshold; raises OutOfRange outside J."""
     a_grid = np.asarray(a_grid, dtype=float)
-    stream = derive_stream(seed, replica)
-    segments = [Segment(draw_environment(wm, n, stream).weights, cm)]
-    size = a_grid.size
-    theta_grid = np.empty(size)
-    X = np.full(size, np.nan)
-    X1 = np.full(size, np.nan)
-    X2 = np.full(size, np.nan)
-    I_n = np.full(size, np.nan)
-    theta_n = np.full(size, np.nan)
-    valid = np.zeros(size, dtype=bool)
+    solved = [solve_deterministic(curves, a) for a in a_grid.tolist()]
+    theta_grid = np.array([theta for theta, _ in solved])
+
+    def at_theta(curve):
+        return np.array([curve(theta) for theta in theta_grid.tolist()])
+
+    return FcltGrid(curves=curves, n=n, a_grid=a_grid, theta_grid=theta_grid,
+                    rate=np.array([rate for _, rate in solved]),
+                    g=at_theta(curves.g), g1=at_theta(curves.g1), g2=at_theta(curves.g2))
+
+
+def sample_fluctuations(grid: FcltGrid, replica: int, seed: int) -> FluctuationSample:
+    """Draw one environment and measure the fluctuation field on the grid."""
+    curves, n = grid.curves, grid.n
+    segments = [Segment(draw_environment(curves.wm, n, derive_stream(seed, replica)).weights,
+                        curves.cm)]
+    thetas = grid.theta_grid.tolist()
     root_n = math.sqrt(n)
-    for i, a in enumerate(a_grid):
-        theta, _ = solve_deterministic(curves, float(a))
-        theta_grid[i] = theta
-        X[i] = root_n * (psi_sum(segments, theta, 0) / n - curves.g(theta))
-        X1[i] = root_n * (psi_sum(segments, theta, 1) / n - curves.g1(theta))
-        X2[i] = root_n * (psi_sum(segments, theta, 2) / n - curves.g2(theta))
+
+    def fluctuation(order: int, limit: np.ndarray) -> np.ndarray:
+        return root_n * (np.array([psi_sum(segments, t, order) for t in thetas]) / n - limit)
+
+    I_n = np.full(len(thetas), np.nan)
+    theta_n = np.full(len(thetas), np.nan)
+    valid = np.zeros(len(thetas), dtype=bool)
+    for i, (a, theta) in enumerate(zip(grid.a_grid.tolist(), thetas)):
         try:
-            sol = solve_saddle(segments, float(a), curves.theta_star, x0=theta)
+            sol = solve_saddle(segments, a, curves.theta_star, x0=theta)
         except OutOfRange:
             continue
         I_n[i] = sol.rate
         theta_n[i] = sol.theta
         valid[i] = True
-    return FluctuationSample(n=n, replica=replica, a_grid=a_grid,
-                             theta_grid=theta_grid, X=X, X1=X1, X2=X2,
+    return FluctuationSample(replica=replica, X=fluctuation(0, grid.g),
+                             X1=fluctuation(1, grid.g1), X2=fluctuation(2, grid.g2),
                              I_n=I_n, theta_n=theta_n, valid=valid)
 
 
-def _check_aligned(samples) -> tuple[int, np.ndarray]:
-    n = samples[0].n
-    a_grid = samples[0].a_grid
-    for s in samples[1:]:
-        if s.n != n or not np.array_equal(s.a_grid, a_grid):
-            raise ValueError("all samples must share one (n, a_grid)")
-    return n, a_grid
-
-
-def fluctuation_matrix(samples) -> np.ndarray:
-    """Stack X across replicas: shape (replicas, grid)."""
-    _check_aligned(samples)
-    return np.stack([s.X for s in samples])
-
-
-def residual_gap_matrix(samples, curves: DeterministicCurves) -> tuple[np.ndarray, np.ndarray]:
+def residual_gap_matrix(samples, grid: FcltGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Measured-vs-predicted second-order terms, per replica and threshold.
 
-    Returns ``(residual_gap, delta_gap)`` where, with rhat measured from the
-    decomposition as rhat = n (I_n - I) + sqrt(n) X,
+    Returns ``(r_hat, residual_gap, delta_gap)``, each of shape
+    (replicas, grid), where rhat is measured from the decomposition as
+    rhat = n (I_n - I) + sqrt(n) X and
 
         residual_gap = |rhat - X1^2 / (2 (g2 + X2 / sqrt(n)))|
         delta_gap    = |theta_n - theta(a) + (X1/sqrt(n)) / (g2 + X2/sqrt(n))|
 
     Invalid replica entries propagate as NaN.
     """
-    n, a_grid = _check_aligned(samples)
-    root_n = math.sqrt(n)
-    rate_det = np.array([solve_deterministic(curves, float(a))[1] for a in a_grid])
-    g2 = np.array([curves.g2(float(t)) for t in samples[0].theta_grid])
-    res_gap = np.empty((len(samples), a_grid.size))
-    delta_gap = np.empty_like(res_gap)
-    for r, s in enumerate(samples):
-        denom = g2 + s.X2 / root_n
-        r_hat = n * (s.I_n - rate_det) + root_n * s.X
-        r_pred = s.X1**2 / (2.0 * denom)
-        res_gap[r] = np.abs(r_hat - r_pred)
-        delta_gap[r] = np.abs(s.theta_n - s.theta_grid + (s.X1 / root_n) / denom)
-    return res_gap, delta_gap
+    def stack(field: str) -> np.ndarray:
+        return np.stack([getattr(s, field) for s in samples])
+
+    n, root_n = grid.n, math.sqrt(grid.n)
+    X1 = stack("X1")
+    denom = grid.g2 + stack("X2") / root_n
+    r_hat = n * (stack("I_n") - grid.rate) + root_n * stack("X")
+    residual_gap = np.abs(r_hat - X1**2 / (2.0 * denom))
+    delta_gap = np.abs(stack("theta_n") - grid.theta_grid + (X1 / root_n) / denom)
+    return r_hat, residual_gap, delta_gap
 
 
-def fclt_report(
-    samples,
-    curves: DeterministicCurves,
-    wm: WeightModel,
-    cm: CumulantModel,
-) -> FcltReport:
+def fclt_report(samples, grid: FcltGrid) -> FcltReport:
     """Aggregate replicas into covariance and residual comparisons.
 
     The analytic covariance runs through the quadrature expectation path;
@@ -188,44 +184,36 @@ def fclt_report(
     """
     samples = list(samples)
     if len(samples) < MIN_REPLICAS:
-        raise InsufficientReplicas(
-            f"need >= {MIN_REPLICAS} replicas, got {len(samples)}"
-        )
-    n, a_grid = _check_aligned(samples)
-    theta_grid = samples[0].theta_grid
+        raise InsufficientReplicas(f"need >= {MIN_REPLICAS} replicas, got {len(samples)}")
     complete = [s for s in samples if bool(np.all(s.valid))]
     if len(complete) < MIN_REPLICAS:
-        raise InsufficientReplicas(
-            f"only {len(complete)} complete replicas (need {MIN_REPLICAS})"
-        )
+        raise InsufficientReplicas(f"only {len(complete)} complete replicas (need {MIN_REPLICAS})")
     X = np.stack([s.X for s in complete])
     empirical_cov = np.atleast_2d(np.cov(X, rowvar=False, ddof=1))
 
-    size = a_grid.size
-    mean_f = np.array([curves.g(float(t)) for t in theta_grid])
+    wm, cm = grid.curves.wm, grid.curves.cm
+    thetas = grid.theta_grid.tolist()
+    size = len(thetas)
     analytic_cov = np.empty((size, size))
     for i in range(size):
         for j in range(i, size):
-            ti, tj = float(theta_grid[i]), float(theta_grid[j])
+            ti, tj = thetas[i], thetas[j]
             cross = wm.expect(lambda w: cm.f(w * ti) * cm.f(w * tj))
-            analytic_cov[i, j] = analytic_cov[j, i] = cross - mean_f[i] * mean_f[j]
+            analytic_cov[i, j] = analytic_cov[j, i] = cross - grid.g[i] * grid.g[j]
 
-    res_gap, delta_gap = residual_gap_matrix(complete, curves)
-    root_n = math.sqrt(n)
-    rate_det = np.array([solve_deterministic(curves, float(a))[1] for a in a_grid])
-    stats = []
-    for i in range(size):
-        col = res_gap[:, i]
-        r_hat = np.array([n * (s.I_n[i] - rate_det[i]) + root_n * s.X[i] for s in complete])
-        stats.append(ResidualStats(
-            a=float(a_grid[i]),
-            median_abs_residual_gap=float(np.median(col)),
+    r_hat, residual_gap, delta_gap = residual_gap_matrix(complete, grid)
+    stats = tuple(
+        ResidualStats(
+            a=a,
+            median_abs_residual_gap=float(np.median(residual_gap[:, i])),
             median_abs_delta_gap=float(np.median(delta_gap[:, i])),
-            median_abs_residual=float(np.median(np.abs(r_hat))),
+            median_abs_residual=float(np.median(np.abs(r_hat[:, i]))),
             replicas=len(complete),
-        ))
+        )
+        for i, a in enumerate(grid.a_grid.tolist())
+    )
     max_err = float(np.max(np.abs(empirical_cov - analytic_cov)))
-    return FcltReport(n=n, replicas=len(complete), a_grid=a_grid,
-                      theta_grid=theta_grid, empirical_cov=empirical_cov,
+    return FcltReport(n=grid.n, replicas=len(complete), a_grid=grid.a_grid,
+                      theta_grid=grid.theta_grid, empirical_cov=empirical_cov,
                       analytic_cov=analytic_cov, max_abs_cov_error=max_err,
-                      residual_stats=tuple(stats))
+                      residual_stats=stats)

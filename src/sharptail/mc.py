@@ -86,6 +86,18 @@ def _draw_sums(segments: list[Segment], theta: float, rows: int, stream) -> np.n
     return s
 
 
+def _batch_sums(segments: list[Segment], theta: float, cfg: McConfig, tag: int):
+    """Yield each batch's draws of S, made in fixed-size chunks from the
+    batch's own derived stream; one batch is held at a time."""
+    chunk_rows = max(1, _CHUNK_ELEMS // _total_n(segments))
+    for b in range(cfg.batches):
+        stream = derive_stream(cfg.seed, tag, b)
+        yield np.concatenate([
+            _draw_sums(segments, theta, min(chunk_rows, cfg.batch_size - start), stream)
+            for start in range(0, cfg.batch_size, chunk_rows)
+        ])
+
+
 def tilted_mc_segments(
     segments: list[Segment], a: float, theta: float, cfg: McConfig
 ) -> TailEstimate:
@@ -93,22 +105,11 @@ def tilted_mc_segments(
     if theta <= 0.0:
         raise OutOfRange(f"tilting requires a positive saddle point, got {theta:.6g}")
     n = _total_n(segments)
-    an = a * n
     log_norm = psi_sum(segments, theta, 0)
-    chunk_rows = max(1, _CHUNK_ELEMS // n)
     batch_logs = np.empty(cfg.batches)
     hits = 0
-    for b in range(cfg.batches):
-        stream = derive_stream(cfg.seed, _TAG_TILTED, b)
-        log_weights = []
-        left = cfg.batch_size
-        while left > 0:
-            rows = min(chunk_rows, left)
-            s = _draw_sums(segments, theta, rows, stream)
-            hit = s >= an
-            log_weights.append(log_norm - theta * s[hit])
-            left -= rows
-        lw = np.concatenate(log_weights) if log_weights else np.empty(0)
+    for b, s in enumerate(_batch_sums(segments, theta, cfg, _TAG_TILTED)):
+        lw = log_norm - theta * s[s >= a * n]
         hits += lw.size
         batch_logs[b] = logsumexp(lw) - math.log(cfg.batch_size)
     log_p = logsumexp(batch_logs) - math.log(cfg.batches)
@@ -133,17 +134,8 @@ def tilted_mc_segments(
 def naive_mc_segments(segments: list[Segment], a: float, cfg: McConfig) -> TailEstimate:
     """Plain indicator average under the original law; binomial stderr."""
     n = _total_n(segments)
-    an = a * n
-    chunk_rows = max(1, _CHUNK_ELEMS // n)
-    hits = 0
-    for b in range(cfg.batches):
-        stream = derive_stream(cfg.seed, _TAG_NAIVE, b)
-        left = cfg.batch_size
-        while left > 0:
-            rows = min(chunk_rows, left)
-            s = _draw_sums(segments, 0.0, rows, stream)
-            hits += int(np.count_nonzero(s >= an))
-            left -= rows
+    hits = sum(int(np.count_nonzero(s >= a * n))
+               for s in _batch_sums(segments, 0.0, cfg, _TAG_NAIVE))
     p_hat = hits / cfg.draws
     warnings = []
     stderr: float | None

@@ -48,16 +48,16 @@ def reference_curves(gaussian, uniform_weight):
 
 
 @pytest.fixture(scope="session")
-def reference_fluctuations(gaussian, uniform_weight, reference_curves):
+def reference_grid(reference_curves):
+    """The reference study's deterministic side: n = 10^4, a in {0.1, 0.2, 0.3}."""
+    return st.fclt_grid(reference_curves, 10_000, [0.1, 0.2, 0.3])
+
+
+@pytest.fixture(scope="session")
+def reference_fluctuations(reference_grid):
     """2000 replicas of the reference configuration at n = 10^4.
 
     Shared between the fluctuation tests and the acceptance suite; this is
     the most expensive fixture in the suite (about a minute).
     """
-    from sharptail.fclt import sample_fluctuations
-
-    return [
-        sample_fluctuations(uniform_weight, gaussian, reference_curves,
-                            10_000, [0.1, 0.2, 0.3], r, 2024)
-        for r in range(2000)
-    ]
+    return [st.sample_fluctuations(reference_grid, r, 2024) for r in range(2000)]

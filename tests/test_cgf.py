@@ -18,22 +18,17 @@ BINOMIAL_CGF_AT_1 = 6.2011450695827752463176337350967907383977995131009
 
 
 def test_eval_cgf_gaussian_closed_form(gaussian):
-    assert st.eval_cgf(gaussian, 2.0) == pytest.approx(2.0, abs=0.0)
+    assert float(gaussian.f(2.0)) == pytest.approx(2.0, abs=0.0)
 
 
 @pytest.mark.parametrize("m,p", [(1, 0.5), (10, 0.5), (7, 0.3)])
 def test_eval_cgf_binomial_at_zero(m, p):
-    assert st.eval_cgf(st.BinomialModel(m, p), 0.0) == 0.0
+    assert float(st.BinomialModel(m, p).f(0.0)) == 0.0
 
 
 def test_eval_cgf_binomial_high_precision():
     model = st.BinomialModel(10, 0.5)
-    assert st.eval_cgf(model, 1.0) == pytest.approx(BINOMIAL_CGF_AT_1, rel=1e-14)
-
-
-def test_eval_cgf_rejects_nonfinite(gaussian):
-    with pytest.raises(ValueError):
-        st.eval_cgf(gaussian, math.inf)
+    assert float(model.f(1.0)) == pytest.approx(BINOMIAL_CGF_AT_1, rel=1e-14)
 
 
 BUILTIN_MODELS = [
@@ -197,8 +192,8 @@ class TestTiltedSampling:
         assert draws.var(ddof=1) == pytest.approx(var_target, abs=5 * var_se)
 
     def test_scalar_tilted_sample(self, gaussian):
-        x = st.tilted_sample(gaussian, 0.5, st.derive_stream(7, 1))
-        assert isinstance(x, float) and math.isfinite(x)
+        x = gaussian.tilted_batch(np.array([0.5]), 1, st.derive_stream(7, 1))
+        assert x.shape == (1, 1) and math.isfinite(x[0, 0])
 
 
 def test_custom_model_matches_gaussian(gaussian):

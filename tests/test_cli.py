@@ -101,13 +101,68 @@ def test_failure_exit_codes(invoke_full, command, config, flags, code, error):
     assert diagnostic["error"] == error and diagnostic["message"]
 
 
-def test_approx_csv_record(invoke):
-    code, stdout = invoke("approx", dict(RUN, output={"format": "csv"}))
+@pytest.mark.parametrize("command,flags,bad", [
+    ("sample", ("--draws", "1000", "--batches", "0"), "--batches"),
+    ("sample", ("--draws", "-5"), "--draws"),
+    ("sample", ("--mode", "naive", "--draws", "0"), "--draws"),
+    ("sample", ("--mode", "naive", "--batches", "-1"), "--batches"),
+    ("fclt", ("--n", "500", "--replicas", "100", "--grid", "0"), "--grid"),
+])
+def test_bad_budgets_exit_2(invoke_full, command, flags, bad):
+    got, stdout, stderr = invoke_full(command, RUN, *flags)
+    assert (got, stdout) == (2, "")
+    [line] = stderr.splitlines()
+    diagnostic = json.loads(line)
+    assert diagnostic["error"] == "ValueError" and bad in diagnostic["message"]
+
+
+def assert_csv_matches_json(invoke, command, config, *flags):
+    code, stdout = invoke(command, dict(config, output={"format": "csv"}), *flags)
     assert code == 0
     header, row = csv.reader(io.StringIO(stdout))
     assert header == list(cli.ESTIMATE_CSV_COLUMNS)
-    doc = json.loads(invoke("approx", RUN)[1])
+    doc = json.loads(invoke(command, config, *flags)[1])
     assert row == [str(doc.get(col, "")) for col in header]
+
+
+def test_approx_csv_record(invoke):
+    assert_csv_matches_json(invoke, "approx", RUN)
+
+
+@pytest.mark.parametrize("command,config,flags", [
+    ("sample", RUN, ("--draws", "2000")),
+    ("sample", RUN, ("--mode", "naive", "--draws", "2000")),
+    ("tcell", TCELL, ()),
+    ("portfolio", PORTFOLIO, ()),
+])
+def test_estimate_csv_records(invoke, command, config, flags):
+    assert_csv_matches_json(invoke, command, config, *flags)
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("approx", ()),
+    ("sample", ("--draws", "2000")),
+])
+def test_seed_flag_overrides_config_seed(invoke, command, flags):
+    # the environment and the MC draws both follow --seed
+    overridden = invoke(command, RUN, "--seed", "4", *flags)
+    assert overridden == invoke(command, dict(RUN, seed=4), *flags)
+    assert overridden[0] == 0 and overridden != invoke(command, RUN, *flags)
+
+
+def test_mc_seed_pins_the_draws(invoke):
+    # constant weights make the environment independent of the seed, so
+    # only the MC stream can move p
+    config = dict(RUN, w={"kind": "constant", "c": 1.0}, a=0.55)
+
+    def p_at(cfg, seed):
+        code, stdout = invoke("sample", cfg, "--seed", str(seed), "--draws", "2000")
+        assert code == 0
+        return json.loads(stdout)["p"]
+
+    assert p_at(config, 4) != p_at(config, 5)
+    pinned = dict(config, mc={"seed": 9})
+    assert p_at(pinned, 4) == p_at(pinned, 5) == p_at(dict(config, seed=9), 9)
 
 
 def test_tcell_lognormal_dwell_times(invoke):
@@ -128,6 +183,17 @@ def test_run_config_rejects_mc_mode(invoke):
 def test_scenarios_reject_mc_block(invoke, command, config):
     assert invoke(command, config)[0] == 0
     assert invoke(command, dict(config, mc=MC_BLOCK)) == (2, "")
+
+
+@pytest.mark.parametrize("command,config", [
+    ("tcell", dict(TCELL, z={"kind": "gaussian", "sigma2": 1.0})),
+    ("tcell", dict(TCELL, output={"format": "xml"})),
+    ("portfolio", dict(PORTFOLIO, output={"format": "xml"})),
+])
+def test_scenario_schemas_reject(invoke_full, command, config):
+    got, stdout, stderr = invoke_full(command, config)
+    assert (got, stdout) == (2, "")
+    assert json.loads(stderr.splitlines()[0])["error"] == "ValidationError"
 
 
 def test_tilted_mc_underflow_is_flagged(invoke):
