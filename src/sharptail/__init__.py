@@ -52,7 +52,7 @@ from .mc import (
     naive_mc_segments,
     tilted_mc_segments,
 )
-from .rng import Stream, derive_seed, derive_stream
+from .rng import derive_seed, derive_stream
 from .saddle import (
     SaddleSolution,
     Segment,
@@ -74,7 +74,6 @@ from .weights import (
     ConstantWeight,
     CustomWeight,
     DeterministicCurves,
-    Environment,
     TcellWeight,
     TwoPointWeight,
     UniformWeight,

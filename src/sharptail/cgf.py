@@ -34,7 +34,6 @@ from typing import Callable
 import numpy as np
 
 from .numerics import expit
-from .rng import Stream
 
 __all__ = [
     "BinomialModel",
@@ -87,11 +86,8 @@ class CumulantModel:
     def mean(self) -> float:
         return float(self.f1(0.0))
 
-    @property
-    def variance(self) -> float:
-        return float(self.f2(0.0))
-
-    def tilted_batch(self, tilts: np.ndarray, size: int, stream: Stream) -> np.ndarray:
+    def tilted_batch(self, tilts: np.ndarray, size: int,
+                     stream: np.random.Generator) -> np.ndarray:
         """Draw a (size, len(tilts)) matrix; column j tilted by tilts[j]."""
         raise NotImplementedError
 
@@ -127,7 +123,7 @@ class GaussianModel(CumulantModel):
     def tilted_batch(self, tilts, size, stream):
         tilts = np.atleast_1d(np.asarray(tilts, dtype=float))
         sd = math.sqrt(self.sigma2)
-        g = stream.gen.standard_normal((size, tilts.size))
+        g = stream.standard_normal((size, tilts.size))
         return g * sd + self.sigma2 * tilts
 
 
@@ -197,8 +193,8 @@ class BinomialModel(CumulantModel):
         tilts = np.atleast_1d(np.asarray(tilts, dtype=float))
         q = expit(tilts + self._logit_p())
         if self.m == 1:
-            return (stream.gen.random((size, tilts.size)) < q).astype(float)
-        return stream.gen.binomial(self.m, q, size=(size, tilts.size)).astype(float)
+            return (stream.random((size, tilts.size)) < q).astype(float)
+        return stream.binomial(self.m, q, size=(size, tilts.size)).astype(float)
 
 
 @dataclass(frozen=True)
@@ -211,7 +207,7 @@ class CustomModel(CumulantModel):
     cgf2: Callable
     cgf3: Callable
     mgf: Callable[[complex], complex]
-    tilted: Callable[[np.ndarray, int, Stream], np.ndarray]
+    tilted: Callable[[np.ndarray, int, np.random.Generator], np.ndarray]
     finite_support: tuple[np.ndarray, np.ndarray] | None = None
 
     @property

@@ -223,11 +223,11 @@ def _mc_config(cfg: dict, draws: int | None, batches: int | None) -> mc.McConfig
                        seed=spec.get("seed", cfg["seed"]))
 
 
-def _conditions(cfg: dict, env, cm: CumulantModel, sol) -> dict:
+def _conditions(cfg: dict, segments, sol) -> dict:
     """The condition statistics on the config's t-grid, as record fields."""
     cond_cfg = cfg.get("conditions", {})
     report = check_conditions(
-        env, cm, sol,
+        segments, sol,
         cond_cfg.get("delta1", DEFAULT_DELTA1),
         cond_cfg.get("delta2", DEFAULT_DELTA2),
         cond_cfg.get("grid_count", DEFAULT_GRID_COUNT),
@@ -243,39 +243,40 @@ def _conditions(cfg: dict, env, cm: CumulantModel, sol) -> dict:
 
 
 def _threshold_run(args, command: str, csv_form: bool = True):
-    """Config, summand model, environment and its one segment at one threshold."""
+    """Config and the environment's one segment at one threshold."""
     cfg = _load_config(args.config, {"a": args.a, "n": args.n, "seed": args.seed},
                        "run_config.schema.json", csv_form)
     if "a" not in cfg:
         raise jsonschema.ValidationError(f"{command} needs a threshold 'a'")
-    cm = build_z_model(cfg["z"])
-    env = draw_environment(build_w_model(cfg["w"]), cfg["n"], derive_stream(cfg["seed"], 0))
-    return cfg, cm, env, [Segment(env.weights, cm)]
+    weights = draw_environment(build_w_model(cfg["w"]), cfg["n"], derive_stream(cfg["seed"], 0))
+    return cfg, [Segment(weights, build_z_model(cfg["z"]))]
 
 
-def _maybe_dump_env(env, path: str | None) -> None:
+def _maybe_dump_env(segments, path: str | None) -> None:
+    """One weight per line, full round-trip precision."""
     if path:
-        env.to_csv(path)
+        with open(path, "w", encoding="ascii") as fh:
+            fh.writelines(f"{float(w)!r}\n" for w in segments[0].weights)
 
 
 def cmd_approx(args) -> int:
-    cfg, cm, env, segments = _threshold_run(args, "approx")
-    _maybe_dump_env(env, args.dump_env)
+    cfg, segments = _threshold_run(args, "approx")
+    _maybe_dump_env(segments, args.dump_env)
     sol = solve_saddle(segments, cfg["a"], cfg.get("theta_star", 1.0))
     est = sldp_estimate(sol, cfg["n"])
     doc = estimate_record(
         est, cfg["seed"],
         theta=sol.theta, rate=sol.rate, sigma2=sol.sigma2,
         residual=sol.residual, iterations=sol.iterations,
-        conditions=_conditions(cfg, env, cm, sol),
+        conditions=_conditions(cfg, segments, sol),
     )
     _emit_record(doc, "estimate_record.schema.json", cfg)
     return 0
 
 
 def cmd_sample(args) -> int:
-    cfg, _, env, segments = _threshold_run(args, "sample")
-    _maybe_dump_env(env, args.dump_env)
+    cfg, segments = _threshold_run(args, "sample")
+    _maybe_dump_env(segments, args.dump_env)
     a = cfg["a"]
     if args.mode == "exact":
         est = mc.exact_enum_segments(segments, a)
@@ -294,7 +295,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_check_conditions(args) -> int:
-    cfg, cm, env, segments = _threshold_run(args, "check-conditions", csv_form=False)
+    cfg, segments = _threshold_run(args, "check-conditions", csv_form=False)
     sol = solve_saddle(segments, cfg["a"], cfg.get("theta_star", 1.0))
     doc = {
         "record": "sharptail/conditions-v1",
@@ -302,7 +303,7 @@ def cmd_check_conditions(args) -> int:
         "a": cfg["a"],
         "seed": cfg["seed"],
         "theta": sol.theta,
-        **_conditions(cfg, env, cm, sol),
+        **_conditions(cfg, segments, sol),
     }
     _emit_record(doc, "conditions_record.schema.json", cfg)
     return 0
@@ -455,7 +456,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="Monte Carlo / exact oracle estimate")
     add_common(p)
     p.add_argument("--mode", choices=["tilted", "naive", "exact"], default="tilted")
-    p.add_argument("--draws", type=int, default=None, help="total draw budget")
+    p.add_argument("--draws", type=int, default=None,
+                   help="total draw budget, rounded up to a multiple of the batch count")
     p.add_argument("--batches", type=int, default=None, help="stderr batches")
     p.add_argument("--dump-env", default=None, help="write weights CSV here")
     p.set_defaults(handler=cmd_sample)

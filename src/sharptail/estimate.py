@@ -16,10 +16,11 @@ tilted sum (Chaganty and Sethuraman 1993),
     sqrt(n) * sup_t  prod_j |E_{W_j theta} exp(i W_j t Z)|
         = sqrt(n) * sup_t  prod_j |M(W_j(theta + i t)) / M(W_j theta)|,
 
-over a grid spanning [delta1, delta2 * theta_n].  These are diagnostics, not
-certificates: the limit statements they probe are asymptotic, so degenerate
-values (e.g. a lattice environment where the ratio stays at 1) are reported
-as data rather than raised as errors.
+over a grid spanning [delta1, delta2 * theta_n], with j running over the
+positions of every segment.  These are diagnostics, not certificates: the
+limit statements they probe are asymptotic, so degenerate values (e.g. a
+lattice environment where the ratio stays at 1) are reported as data rather
+than raised as errors.
 """
 
 from __future__ import annotations
@@ -29,11 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cgf import CumulantModel
 from .errors import PrefactorDegenerate
 from .numerics import csum
-from .saddle import SaddleSolution
-from .weights import Environment
+from .saddle import SaddleSolution, Segment, total_n
 
 __all__ = [
     "ConditionReport",
@@ -61,8 +60,9 @@ DEFAULT_GRID_COUNT = 512
 
 _LOG_TINY = math.log(1e-300)
 
-# characteristic-function products are evaluated in j-chunks of fixed size so
-# the reduction order (and hence the result) never depends on memory limits
+# characteristic-function products are evaluated in j-chunks of fixed size,
+# counted from the start of each segment, so the reduction order (and hence
+# the result) never depends on memory limits
 _CF_CHUNK = 4096
 
 
@@ -142,8 +142,7 @@ def sldp_estimate(sol: SaddleSolution, n: int) -> TailEstimate:
 
 
 def check_conditions(
-    env: Environment,
-    cm: CumulantModel,
+    segments: list[Segment],
     sol: SaddleSolution,
     delta1: float = DEFAULT_DELTA1,
     delta2: float = DEFAULT_DELTA2,
@@ -157,23 +156,24 @@ def check_conditions(
     ``log_abs_tilted_cf(W_j theta, W_j t)``: for Binomial(m, p) summands
     (m/2) log1p(-4 q_j(1-q_j) sin^2(W_j t / 2)) with q_j the tilted success
     probability, and -sigma2 W_j^2 t^2 / 2 for Gaussian ones.  Each j-chunk
-    is built in one real (chunk, grid_count) buffer updated in place.
+    is built in one real (chunk, grid_count) buffer updated in place, and
+    the chunk sums of all segments are added exactly per grid point.
     """
     if not 0.0 < delta1 < delta2:
         raise ValueError(f"need 0 < delta1 < delta2, got ({delta1}, {delta2})")
     if grid_count < 16:
         raise ValueError(f"grid_count must be >= 16, got {grid_count}")
     theta = sol.theta
-    w = env.weights
-    n = w.size
+    n = total_n(segments)
     t_grid = np.linspace(delta1, delta2 * theta, grid_count)
     buf = np.empty((min(n, _CF_CHUNK), grid_count))
     chunk_sums = []
-    for start in range(0, n, _CF_CHUNK):
-        wj = w[start:start + _CF_CHUNK, None]
-        y = np.multiply(wj, t_grid, out=buf[:wj.shape[0]])
-        cm.log_abs_tilted_cf(wj * theta, y, out=y)
-        chunk_sums.append(np.sum(y, axis=0))
+    for seg in segments:
+        for start in range(0, seg.weights.size, _CF_CHUNK):
+            wj = seg.weights[start:start + _CF_CHUNK, None]
+            y = np.multiply(wj, t_grid, out=buf[:wj.shape[0]])
+            seg.cm.log_abs_tilted_cf(wj * theta, y, out=y)
+            chunk_sums.append(np.sum(y, axis=0))
     log_prod = np.array([csum(col) for col in np.stack(chunk_sums, axis=1)])
     # each factor has modulus <= 1; clip roundoff drift above 0
     log_sup = float(np.minimum(log_prod, 0.0).max())

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientReplicas, OutOfRange
+from .errors import DegenerateEnvironment, InsufficientReplicas, OutOfRange
 from .saddle import Segment, psi_sum, solve_deterministic, solve_saddle
 from .weights import DeterministicCurves, draw_environment
 from .rng import derive_stream
@@ -76,7 +76,7 @@ class FluctuationSample:
 
     Entries where the realized environment pushed a threshold outside the
     empirical saddle range are flagged invalid (NaN values, False in
-    ``valid``) rather than raised.
+    ``valid``) rather than raised; all-zero weights mask every entry.
     """
 
     replica: int
@@ -128,17 +128,21 @@ def fclt_grid(curves: DeterministicCurves, n: int, a_grid) -> FcltGrid:
 def sample_fluctuations(grid: FcltGrid, replica: int, seed: int) -> FluctuationSample:
     """Draw one environment and measure the fluctuation field on the grid."""
     curves, n = grid.curves, grid.n
-    segments = [Segment(draw_environment(curves.wm, n, derive_stream(seed, replica)).weights,
-                        curves.cm)]
     thetas = grid.theta_grid.tolist()
+    I_n = np.full(len(thetas), np.nan)
+    theta_n = np.full(len(thetas), np.nan)
+    valid = np.zeros(len(thetas), dtype=bool)
+    try:
+        segments = [Segment(draw_environment(curves.wm, n, derive_stream(seed, replica)),
+                            curves.cm)]
+    except DegenerateEnvironment:
+        return FluctuationSample(replica=replica, X=I_n.copy(), X1=I_n.copy(),
+                                 X2=I_n.copy(), I_n=I_n, theta_n=theta_n, valid=valid)
     root_n = math.sqrt(n)
 
     def fluctuation(order: int, limit: np.ndarray) -> np.ndarray:
         return root_n * (np.array([psi_sum(segments, t, order) for t in thetas]) / n - limit)
 
-    I_n = np.full(len(thetas), np.nan)
-    theta_n = np.full(len(thetas), np.nan)
-    valid = np.zeros(len(thetas), dtype=bool)
     for i, (a, theta) in enumerate(zip(grid.a_grid.tolist(), thetas)):
         try:
             sol = solve_saddle(segments, a, curves.theta_star, x0=theta)

@@ -33,7 +33,7 @@ from .errors import NotEnumerable, OutOfRange, TooLarge
 from .estimate import METHOD_EXACT, METHOD_NAIVE, METHOD_TILTED, TailEstimate
 from .numerics import csum, logsumexp
 from .rng import derive_stream
-from .saddle import Segment, psi_sum
+from .saddle import Segment, psi_sum, total_n
 
 __all__ = [
     "McConfig",
@@ -73,10 +73,6 @@ class McConfig:
         return self.batches * self.batch_size
 
 
-def _total_n(segments: list[Segment]) -> int:
-    return int(sum(seg.weights.size for seg in segments))
-
-
 def _draw_sums(segments: list[Segment], theta: float, rows: int, stream) -> np.ndarray:
     """S for ``rows`` draws, each position tilted by theta * W_j."""
     s = np.zeros(rows)
@@ -89,7 +85,7 @@ def _draw_sums(segments: list[Segment], theta: float, rows: int, stream) -> np.n
 def _batch_sums(segments: list[Segment], theta: float, cfg: McConfig, tag: int):
     """Yield each batch's draws of S, made in fixed-size chunks from the
     batch's own derived stream; one batch is held at a time."""
-    chunk_rows = max(1, _CHUNK_ELEMS // _total_n(segments))
+    chunk_rows = max(1, _CHUNK_ELEMS // total_n(segments))
     for b in range(cfg.batches):
         stream = derive_stream(cfg.seed, tag, b)
         yield np.concatenate([
@@ -104,7 +100,7 @@ def tilted_mc_segments(
     """Importance-sampled tail estimate at saddle tilt ``theta`` > 0."""
     if theta <= 0.0:
         raise OutOfRange(f"tilting requires a positive saddle point, got {theta:.6g}")
-    n = _total_n(segments)
+    n = total_n(segments)
     log_norm = psi_sum(segments, theta, 0)
     batch_logs = np.empty(cfg.batches)
     hits = 0
@@ -133,7 +129,7 @@ def tilted_mc_segments(
 
 def naive_mc_segments(segments: list[Segment], a: float, cfg: McConfig) -> TailEstimate:
     """Plain indicator average under the original law; binomial stderr."""
-    n = _total_n(segments)
+    n = total_n(segments)
     hits = sum(int(np.count_nonzero(s >= a * n))
                for s in _batch_sums(segments, 0.0, cfg, _TAG_NAIVE))
     p_hat = hits / cfg.draws

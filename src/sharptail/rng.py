@@ -1,7 +1,7 @@
 """Deterministic random-stream derivation.
 
-All randomness in the library flows through :class:`Stream` objects whose
-underlying bit generator is seeded by a documented split function: the master
+All randomness in the library comes from ``numpy.random.Generator`` objects
+whose bit generator is seeded by a documented split function: the master
 seed is XORed with each derivation index in turn and pushed through the
 splitmix64 finalizer.  Replicas, Monte Carlo batches, and scenario draws each
 derive their own stream, so any unit of work is reproducible in isolation and
@@ -17,11 +17,9 @@ and the final ``s`` seeds a ``numpy.random.PCG64DXSM`` bit generator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-__all__ = ["Stream", "derive_seed", "derive_stream", "splitmix64"]
+__all__ = ["derive_seed", "derive_stream", "splitmix64"]
 
 _MASK64 = (1 << 64) - 1
 
@@ -48,16 +46,6 @@ def derive_seed(master: int, *indices: int) -> int:
     return s
 
 
-@dataclass
-class Stream:
-    """A seeded numpy generator plus the provenance that produced it."""
-
-    gen: np.random.Generator
-    provenance: tuple[int, ...] = field(default_factory=tuple)
-
-
-def derive_stream(master: int, *indices: int) -> Stream:
-    """Build the stream for (master, *indices) via the documented split."""
-    seed = derive_seed(master, *indices)
-    gen = np.random.Generator(np.random.PCG64DXSM(seed))
-    return Stream(gen=gen, provenance=(master, *indices))
+def derive_stream(master: int, *indices: int) -> np.random.Generator:
+    """The generator for (master, *indices) via the documented split."""
+    return np.random.Generator(np.random.PCG64DXSM(derive_seed(master, *indices)))

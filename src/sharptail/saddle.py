@@ -40,6 +40,7 @@ __all__ = [
     "solve_psi_root",
     "solve_saddle",
     "solve_deterministic",
+    "total_n",
 ]
 
 RESIDUAL_TOL = 1e-12
@@ -71,6 +72,10 @@ class Segment:
 
     weights: np.ndarray
     cm: CumulantModel
+
+
+def total_n(segments: list[Segment]) -> int:
+    return int(sum(seg.weights.size for seg in segments))
 
 
 def psi_sum(segments: list[Segment], theta: float, order: int) -> float:
@@ -176,7 +181,7 @@ def solve_psi_root(
 def solve_saddle(segments: list[Segment], a: float, theta_star: float,
                  x0: float | None = None) -> SaddleSolution:
     """Saddle point, rate and curvature of psi_n for one threshold."""
-    n = sum(seg.weights.size for seg in segments)
+    n = total_n(segments)
     return solve_psi_root(
         lambda t, order: psi_sum(segments, t, order) / n, a, theta_star, x0
     )

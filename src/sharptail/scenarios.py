@@ -26,7 +26,7 @@ from .errors import DegenerateEnvironment
 from .estimate import TailEstimate, sldp_estimate
 from .rng import derive_stream
 from .saddle import Segment, solve_saddle
-from .weights import Environment, TcellWeight, WeightModel, draw_environment
+from .weights import TcellWeight, WeightModel, draw_environment
 
 # not used here: bench/tracing.py patches these two names on this module
 from .numerics import csum  # noqa: F401
@@ -72,7 +72,7 @@ class TcellScenario:
         return self.a - self.z_f * self.w_f / self.n
 
 
-def tcell_environment(sc: TcellScenario, env_seed: int) -> Environment:
+def tcell_environment(sc: TcellScenario, env_seed: int) -> np.ndarray:
     """Realize the stimulation-rate weights for one scenario run."""
     return draw_environment(sc.tau_model, sc.n, derive_stream(env_seed, _ENV_REPLICA))
 
@@ -85,9 +85,8 @@ def tcell_activation_prob(sc: TcellScenario, env_seed: int) -> TailEstimate:
     c1 given there, evaluated with the tilted cumulants at the shifted
     saddle point.
     """
-    env = tcell_environment(sc, env_seed)
-    sol = solve_saddle([Segment(env.weights, sc.z_model)], sc.shifted_threshold,
-                       sc.theta_star)
+    weights = tcell_environment(sc, env_seed)
+    sol = solve_saddle([Segment(weights, sc.z_model)], sc.shifted_threshold, sc.theta_star)
     est = sldp_estimate(sol, sc.n)
     # report under the scenario's unshifted threshold
     return replace(est, a=sc.a)

@@ -1,8 +1,9 @@
 """Weight models, realized environments, and deterministic curves.
 
 The weights W_j scale the i.i.d. summands; conditioning on them freezes one
-*environment*.  A :class:`WeightModel` supplies a sampler, moments, and the
-expectation functional E[h(W)] used to build the deterministic curves
+*environment*, the weight array :func:`draw_environment` returns.  A
+:class:`WeightModel` supplies a sampler, moments, and the expectation
+functional E[h(W)] used to build the deterministic curves
 
     g(t)  = E[f(W t)],    g1(t) = E[W f'(W t)],    g2(t) = E[W^2 f''(W t)],
 
@@ -19,7 +20,7 @@ weight that is almost surely zero makes the weighted sum degenerate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -27,13 +28,11 @@ import numpy as np
 from .cgf import CumulantModel
 from .errors import DegenerateEnvironment, EmptyInterval
 from .numerics import adaptive_gauss_legendre
-from .rng import Stream
 
 __all__ = [
     "ConstantWeight",
     "CustomWeight",
     "DeterministicCurves",
-    "Environment",
     "TcellWeight",
     "TwoPointWeight",
     "UniformWeight",
@@ -50,9 +49,7 @@ _NORMAL_CUTOFF = 12.0
 class WeightModel:
     """Interface for weight distributions."""
 
-    kind: str = "abstract"
-
-    def sample(self, n: int, stream: Stream) -> np.ndarray:
+    def sample(self, n: int, stream: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
 
     def expect(self, h: Callable[[np.ndarray], np.ndarray]) -> float:
@@ -68,7 +65,6 @@ class ConstantWeight(WeightModel):
     """Point mass at c (c != 0, otherwise the sum is identically zero)."""
 
     c: float
-    kind: str = field(default="constant", init=False)
 
     def __post_init__(self):
         if self.c == 0.0 or not math.isfinite(self.c):
@@ -90,14 +86,13 @@ class UniformWeight(WeightModel):
 
     c: float
     d: float
-    kind: str = field(default="uniform", init=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.c) and math.isfinite(self.d) and self.c < self.d):
             raise ValueError(f"need c < d, got [{self.c}, {self.d}]")
 
     def sample(self, n, stream):
-        return stream.gen.uniform(self.c, self.d, n)
+        return stream.uniform(self.c, self.d, n)
 
     def expect(self, h):
         scale = 1.0 / (self.d - self.c)
@@ -116,7 +111,6 @@ class TwoPointWeight(WeightModel):
 
     values: tuple[float, ...]
     probs: tuple[float, ...]
-    kind: str = field(default="two_point", init=False)
 
     def __post_init__(self):
         if len(self.values) != len(self.probs) or not self.values:
@@ -127,8 +121,8 @@ class TwoPointWeight(WeightModel):
             raise ValueError("P(|W| > 0) = 0: weight is almost surely zero")
 
     def sample(self, n, stream):
-        return stream.gen.choice(np.asarray(self.values, dtype=float), size=n,
-                                 p=np.asarray(self.probs, dtype=float))
+        return stream.choice(np.asarray(self.values, dtype=float), size=n,
+                             p=np.asarray(self.probs, dtype=float))
 
     def expect(self, h):
         v = np.asarray(self.values, dtype=float)
@@ -149,7 +143,6 @@ class TcellWeight(WeightModel):
     rate: float = 1.0
     mu: float = 0.0
     s: float = 1.0
-    kind: str = field(default="tcell", init=False)
 
     def __post_init__(self):
         if self.tau_kind not in ("exponential", "lognormal"):
@@ -165,9 +158,9 @@ class TcellWeight(WeightModel):
 
     def sample(self, n, stream):
         if self.tau_kind == "exponential":
-            tau = stream.gen.exponential(scale=1.0 / self.rate, size=n)
+            tau = stream.exponential(scale=1.0 / self.rate, size=n)
         else:
-            tau = stream.gen.lognormal(mean=self.mu, sigma=self.s, size=n)
+            tau = stream.lognormal(mean=self.mu, sigma=self.s, size=n)
         return self.transform(tau)
 
     def expect(self, h):
@@ -195,8 +188,7 @@ class CustomWeight(WeightModel):
     explicit expectation functional.  ``nonzero_certified`` asserts
     P(|W| > 0) > 0 on the caller's authority."""
 
-    kind_name: str
-    sampler: Callable[[int, Stream], np.ndarray]
+    sampler: Callable[[int, np.random.Generator], np.ndarray]
     nonzero_certified: bool = True
     density: Callable[[np.ndarray], np.ndarray] | None = None
     interval: tuple[float, float] | None = None
@@ -207,10 +199,6 @@ class CustomWeight(WeightModel):
             raise ValueError("weight model must certify P(|W| > 0) > 0")
         if self.expect_fn is None and (self.density is None or self.interval is None):
             raise ValueError("need expect_fn or (density, interval)")
-
-    @property
-    def kind(self) -> str:  # type: ignore[override]
-        return self.kind_name
 
     def sample(self, n, stream):
         return np.asarray(self.sampler(n, stream), dtype=float)
@@ -225,43 +213,23 @@ class CustomWeight(WeightModel):
         )
 
 
-@dataclass(frozen=True)
-class Environment:
-    """One realized weight sequence: a single draw of the conditioning."""
+def draw_environment(wm: WeightModel, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw n i.i.d. weights; deterministic given the generator's seed.
 
-    weights: np.ndarray
-    seed_provenance: tuple[int, ...]
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "weights", w)
-        if w.ndim != 1 or w.size < 1:
-            raise ValueError("weights must be a nonempty 1-d array")
-
-    @property
-    def n(self) -> int:
-        return int(self.weights.size)
-
-    def to_csv(self, path) -> None:
-        """One weight per line, full round-trip precision."""
-        with open(path, "w", encoding="ascii") as fh:
-            for w in self.weights:
-                fh.write(f"{float(w)!r}\n")
-
-
-def draw_environment(wm: WeightModel, n: int, rng: Stream) -> Environment:
-    """Draw n i.i.d. weights; deterministic given the stream's provenance.
-
-    Raises :class:`DegenerateEnvironment` when every drawn weight is zero
-    (the caller decides whether to abort or reseed; resampling here would
-    bias replica studies).
+    Raises ``ValueError`` unless the sampler (a user callback for
+    :class:`CustomWeight`) returns a 1-d float array of length n, and
+    :class:`DegenerateEnvironment` when every drawn weight is zero (the
+    caller decides whether to abort or reseed; resampling here would bias
+    replica studies).
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     w = wm.sample(n, rng)
+    if not (isinstance(w, np.ndarray) and w.dtype == float and w.shape == (n,)):
+        raise ValueError(f"weight sampler must return a 1-d float array of length {n}")
     if not np.any(w != 0.0):
         raise DegenerateEnvironment(f"all {n} weights are zero")
-    return Environment(weights=w, seed_provenance=rng.provenance)
+    return w
 
 
 class DeterministicCurves:

@@ -40,6 +40,13 @@ BUILTIN_MODELS = [
 ]
 
 
+def _variance(model):
+    """Closed-form Var Z: sigma2, or m p (1-p)."""
+    if isinstance(model, st.GaussianModel):
+        return model.sigma2
+    return model.m * model.p * (1.0 - model.p)
+
+
 @pytest.mark.parametrize("model", BUILTIN_MODELS)
 class TestModelInvariants:
     theta_grid = np.linspace(-5.0, 5.0, 41)
@@ -47,7 +54,7 @@ class TestModelInvariants:
     def test_cgf_zero_and_mean(self, model):
         assert float(model.f(0.0)) == 0.0
         assert float(model.f1(0.0)) == pytest.approx(model.mean, rel=1e-15)
-        assert float(model.f2(0.0)) == pytest.approx(model.variance, rel=1e-15)
+        assert float(model.f2(0.0)) == pytest.approx(_variance(model), rel=1e-15)
 
     def test_strict_convexity(self, model):
         assert np.all(model.f2(self.theta_grid) > 0.0)
@@ -205,11 +212,11 @@ def test_custom_model_matches_gaussian(gaussian):
         cgf2=lambda t: np.full_like(np.asarray(t, dtype=float), sigma2),
         cgf3=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
         mgf=lambda z: cmath.exp(0.5 * sigma2 * z * z),
-        tilted=lambda tilts, size, stream: stream.gen.standard_normal((size, tilts.size)) + sigma2 * tilts,
+        tilted=lambda tilts, size, stream: stream.standard_normal((size, tilts.size)) + sigma2 * tilts,
     )
-    env = st.draw_environment(st.ConstantWeight(1.0), 50, st.derive_stream(1, 0))
-    sol_custom = st.solve_saddle([st.Segment(env.weights, custom)], 0.5, 1.0)
-    sol_builtin = st.solve_saddle([st.Segment(env.weights, gaussian)], 0.5, 1.0)
+    weights = st.draw_environment(st.ConstantWeight(1.0), 50, st.derive_stream(1, 0))
+    sol_custom = st.solve_saddle([st.Segment(weights, custom)], 0.5, 1.0)
+    sol_builtin = st.solve_saddle([st.Segment(weights, gaussian)], 0.5, 1.0)
     assert sol_custom.theta == pytest.approx(sol_builtin.theta, abs=1e-14)
     assert float(custom.log_abs_tilted_cf(0.2, 0.7)) == pytest.approx(
         float(gaussian.log_abs_tilted_cf(0.2, 0.7)), rel=1e-12)

@@ -5,6 +5,7 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
 import sharptail as st
@@ -224,3 +225,47 @@ def test_report_ratio_survives_underflow(invoke, tmp_path, capsys):
     assert [float(r["ratio_to_sldp"]) for r in rows] == [
         1.0, math.exp(tilted["log_p"] - sldp["log_p"])]
     assert float(rows[1]["ratio_to_sldp"]) == pytest.approx(0.948, abs=0.005)
+
+
+@pytest.mark.parametrize("command", ["approx", "sample"])
+def test_dump_env_writes_the_drawn_weights(invoke, tmp_path, command):
+    # one repr line per weight, so the file parses back bit for bit
+    flags = ("--draws", "2000") if command == "sample" else ()
+    path = tmp_path / "weights.csv"
+    code, stdout = invoke(command, RUN, *flags)
+    assert code == 0
+    assert invoke(command, RUN, *flags, "--dump-env", str(path)) == (0, stdout)
+    back = np.array([float(line) for line in path.read_text(encoding="ascii").splitlines()])
+    want = st.draw_environment(cli.build_w_model(RUN["w"]), RUN["n"],
+                               st.derive_stream(RUN["seed"], 0))
+    assert np.array_equal(back, want)
+
+
+def test_draws_rounded_up_to_whole_batches(invoke, capsys):
+    # the default 100 batches of equal size: 5 -> 100 x 1, 1050 -> 100 x 11
+    for draws, recorded in (("5", 100), ("1050", 1100)):
+        code, stdout = invoke("sample", RUN, "--n", "200", "--draws", draws)
+        assert code == 0
+        assert json.loads(stdout)["draws"] == recorded
+    assert cli.run(["sample", "--help"]) == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "total draw budget, rounded up to a multiple of the batch count" in help_text
+
+
+# Bernoulli(1/2) summands on {0, 1} weights at n = 4: each replica's weights
+# are all zero with probability 1/16
+ALL_ZERO_PRONE = {"z": RUN["z"], "w": {"kind": "two_point", "values": [0.0, 1.0],
+                                       "probs": [0.5, 0.5]},
+                  "n": 4, "theta_star": 1.2, "seed": 3}
+
+
+def test_fclt_masks_all_zero_replicas(invoke_full):
+    # all-zero replicas count as incomplete, like out-of-range thresholds
+    code, stdout, stderr = invoke_full("fclt", ALL_ZERO_PRONE, "--replicas", "200", "--grid", "2")
+    assert (code, stdout) == (4, "")
+    diagnostic = json.loads(stderr.splitlines()[0])
+    assert diagnostic == {"error": "InsufficientReplicas",
+                          "message": "only 67 complete replicas (need 100)"}
+    code, stdout, _ = invoke_full("fclt", ALL_ZERO_PRONE, "--replicas", "400", "--grid", "2")
+    assert code == 0
+    assert json.loads(stdout)["replicas"] == 156

@@ -9,10 +9,6 @@ import sharptail as st
 from oracles import Q5_TABULATED, normal_upper_tail
 
 
-def _unit_env(n):
-    return st.Environment(weights=np.ones(n), seed_provenance=(0,))
-
-
 class TestSldpEstimate:
     def test_gaussian_reference_hand_formula(self, gaussian):
         sol = st.solve_saddle([st.Segment(np.ones(100), gaussian)], 0.5, 1.0)
@@ -38,9 +34,9 @@ class TestSldpEstimate:
             st.sldp_estimate(sol, 10)
 
     def test_value_capped_at_one_near_mean(self, gaussian, uniform_weight):
-        env = st.draw_environment(uniform_weight, 50, st.derive_stream(6, 0))
-        mean = st.psi_sum([st.Segment(env.weights, gaussian)], 0.0, 1) / env.n
-        sol = st.solve_saddle([st.Segment(env.weights, gaussian)], mean + 1e-6, 1.0)
+        weights = st.draw_environment(uniform_weight, 50, st.derive_stream(6, 0))
+        mean = st.psi_sum([st.Segment(weights, gaussian)], 0.0, 1) / weights.size
+        sol = st.solve_saddle([st.Segment(weights, gaussian)], mean + 1e-6, 1.0)
         est = st.sldp_estimate(sol, 50)
         assert est.value <= 1.0
         assert est.log_value <= 0.0
@@ -57,11 +53,11 @@ class TestSldpEstimate:
         assert est.log_value == pytest.approx(hand, rel=1e-12)
 
     def test_never_exceeds_one_on_grid(self, gaussian, uniform_weight):
-        env = st.draw_environment(uniform_weight, 100, st.derive_stream(7, 0))
-        lo = st.psi_sum([st.Segment(env.weights, gaussian)], 0.0, 1) / env.n
-        hi = st.psi_sum([st.Segment(env.weights, gaussian)], 1.0, 1) / env.n
+        weights = st.draw_environment(uniform_weight, 100, st.derive_stream(7, 0))
+        lo = st.psi_sum([st.Segment(weights, gaussian)], 0.0, 1) / weights.size
+        hi = st.psi_sum([st.Segment(weights, gaussian)], 1.0, 1) / weights.size
         for a in np.linspace(lo + 1e-9, hi, 25):
-            sol = st.solve_saddle([st.Segment(env.weights, gaussian)], float(a), 1.0)
+            sol = st.solve_saddle([st.Segment(weights, gaussian)], float(a), 1.0)
             est = st.sldp_estimate(sol, 100)
             assert est.value <= 1.0
             assert math.isfinite(est.log_value)
@@ -69,9 +65,9 @@ class TestSldpEstimate:
 
 class TestCheckConditions:
     def test_gaussian_unit_closed_form(self, gaussian):
-        env = _unit_env(100)
-        sol = st.solve_saddle([st.Segment(env.weights, gaussian)], 0.5, 1.0)
-        rep = st.check_conditions(env, gaussian, sol, 0.1, 1.0, 64)
+        segs = [st.Segment(np.ones(100), gaussian)]
+        sol = st.solve_saddle(segs, 0.5, 1.0)
+        rep = st.check_conditions(segs, sol, 0.1, 1.0, 64)
         # product over j is exp(-n t^2 / 2); sup on [0.1, 0.5] is at t = 0.1
         assert rep.cf_sup == pytest.approx(10.0 * math.exp(-0.5), rel=1e-12)
         assert rep.theta_sqrt_n == pytest.approx(5.0, abs=1e-13)
@@ -81,43 +77,58 @@ class TestCheckConditions:
     def test_bernoulli_lattice_non_decay(self, bernoulli):
         # delta1 at the characteristic-function period: modulus 1 per factor,
         # exposing why lattice summands need a diffuse weight distribution
-        env = _unit_env(100)
-        sol = st.solve_saddle([st.Segment(env.weights, bernoulli)], 0.75, 1.0)
-        rep = st.check_conditions(env, bernoulli, sol, 2.0 * math.pi, 7.0, 32)
+        segs = [st.Segment(np.ones(100), bernoulli)]
+        sol = st.solve_saddle(segs, 0.75, 1.0)
+        rep = st.check_conditions(segs, sol, 2.0 * math.pi, 7.0, 32)
         assert rep.cf_sup == pytest.approx(10.0, rel=1e-12)
 
     def test_custom_fallback_matches_closed_form(self, uniform_weight, custom_twin):
         # the same diagnostic from the per-element complex-MGF fallback
         model = st.BinomialModel(4, 0.2)
         twin = custom_twin(model)
-        env = st.draw_environment(uniform_weight, 300, st.derive_stream(11, 0))
-        sol = st.solve_saddle([st.Segment(env.weights, model)], 0.4, 1.0)
-        got = st.check_conditions(env, model, sol, 0.1, 2.0, 32)
-        want = st.check_conditions(env, twin, sol, 0.1, 2.0, 32)
+        weights = st.draw_environment(uniform_weight, 300, st.derive_stream(11, 0))
+        sol = st.solve_saddle([st.Segment(weights, model)], 0.4, 1.0)
+        got = st.check_conditions([st.Segment(weights, model)], sol, 0.1, 2.0, 32)
+        want = st.check_conditions([st.Segment(weights, twin)], sol, 0.1, 2.0, 32)
         assert got.cf_sup == pytest.approx(want.cf_sup, rel=1e-10)
 
+    def test_split_into_segments(self, bernoulli, uniform_weight):
+        # chunks restart at each segment: a split on a chunk boundary leaves
+        # every chunk sum as it was, any other split only regroups them
+        weights = st.draw_environment(uniform_weight, 10_000, st.derive_stream(12, 0))
+        whole = [st.Segment(weights, bernoulli)]
+        sol = st.solve_saddle(whole, 0.3, 1.2)
+        want = st.check_conditions(whole, sol).cf_sup
+
+        def split_at(k):
+            segs = [st.Segment(weights[:k], bernoulli), st.Segment(weights[k:], bernoulli)]
+            return st.check_conditions(segs, sol).cf_sup
+
+        assert split_at(2 * 4096) == want
+        assert split_at(5_000) == pytest.approx(want, rel=1e-12, abs=0.0)
+
     def test_single_summand_scaling(self, gaussian):
-        env = _unit_env(1)
-        sol = st.solve_saddle([st.Segment(env.weights, gaussian)], 0.5, 1.0)
-        rep = st.check_conditions(env, gaussian, sol, 0.1, 1.0, 16)
+        segs = [st.Segment(np.ones(1), gaussian)]
+        sol = st.solve_saddle(segs, 0.5, 1.0)
+        rep = st.check_conditions(segs, sol, 0.1, 1.0, 16)
         assert rep.theta_sqrt_n == pytest.approx(sol.theta, abs=0.0)
 
     def test_statistics_nonnegative_and_validated(self, gaussian):
-        env = _unit_env(10)
-        sol = st.solve_saddle([st.Segment(env.weights, gaussian)], 0.5, 1.0)
+        segs = [st.Segment(np.ones(10), gaussian)]
+        sol = st.solve_saddle(segs, 0.5, 1.0)
         with pytest.raises(ValueError):
-            st.check_conditions(env, gaussian, sol, 0.5, 0.1, 64)
+            st.check_conditions(segs, sol, 0.5, 0.1, 64)
         with pytest.raises(ValueError):
-            st.check_conditions(env, gaussian, sol, 0.1, 1.0, 8)
+            st.check_conditions(segs, sol, 0.1, 1.0, 8)
 
     def test_cf_sup_monotone_in_n_and_closed_form(self, gaussian):
         # sqrt(n) exp(-n delta1^2/2) with delta1 = 0.2 decreases on n >= 100
         delta1 = 0.2
         values = []
         for n in (100, 1_000, 10_000):
-            env = _unit_env(n)
-            sol = st.solve_saddle([st.Segment(env.weights, gaussian)], 0.5, 1.0)
-            rep = st.check_conditions(env, gaussian, sol, delta1, 1.0, 64)
+            segs = [st.Segment(np.ones(n), gaussian)]
+            sol = st.solve_saddle(segs, 0.5, 1.0)
+            rep = st.check_conditions(segs, sol, delta1, 1.0, 64)
             closed = math.sqrt(n) * math.exp(-n * delta1**2 / 2.0)
             assert rep.cf_sup == pytest.approx(closed, rel=1e-8)
             values.append(rep.cf_sup)
@@ -129,9 +140,10 @@ class TestCheckConditions:
         ratios = []
         for n in (10_000, 100_000):
             for r in range(20):
-                env = st.draw_environment(uniform_weight, n, st.derive_stream(505, r))
-                sol = st.solve_saddle([st.Segment(env.weights, gaussian)], 0.2, 1.0)
-                rep = st.check_conditions(env, gaussian, sol, 0.1, 1.0, 16)
+                weights = st.draw_environment(uniform_weight, n, st.derive_stream(505, r))
+                segs = [st.Segment(weights, gaussian)]
+                sol = st.solve_saddle(segs, 0.2, 1.0)
+                rep = st.check_conditions(segs, sol, 0.1, 1.0, 16)
                 ratios.append(rep.theta_sqrt_n / math.sqrt(n))
         spread = (max(ratios) - min(ratios)) / np.mean(ratios)
         assert spread < 0.10
@@ -139,8 +151,8 @@ class TestCheckConditions:
     def test_grid_includes_both_endpoints(self, gaussian):
         # max sits at delta1 for Gaussian; shrink the window so the right
         # endpoint would be missed by an exclusive grid
-        env = _unit_env(50)
-        sol = st.solve_saddle([st.Segment(env.weights, gaussian)], 0.5, 1.0)
-        rep = st.check_conditions(env, gaussian, sol, 0.3, 0.6001 / sol.theta, 16)
+        segs = [st.Segment(np.ones(50), gaussian)]
+        sol = st.solve_saddle(segs, 0.5, 1.0)
+        rep = st.check_conditions(segs, sol, 0.3, 0.6001 / sol.theta, 16)
         lo = math.sqrt(50) * math.exp(-50 * 0.09 / 2.0)
         assert rep.cf_sup == pytest.approx(lo, rel=1e-10)

@@ -75,6 +75,19 @@ class TestSampleFluctuations:
             assert np.all(np.isnan(s.I_n[~s.valid]))
             assert np.all(np.isfinite(s.I_n[s.valid]))
 
+    def test_all_zero_environment_masked_not_raised(self, bernoulli):
+        wm = st.TwoPointWeight((0.0, 1.0), (0.5, 0.5))
+        grid = fclt_grid(st.DeterministicCurves(wm, bernoulli, 1.2), 4, [0.3, 0.35])
+        zero = [r for r in range(40) if not np.any(wm.sample(4, st.derive_stream(3, r)))]
+        assert zero
+        for r in range(40):
+            s = sample_fluctuations(grid, r, 3)
+            assert bool(np.all(np.isnan(s.X))) == (r in zero)
+            if r in zero:
+                for values in (s.X1, s.X2, s.I_n, s.theta_n):
+                    assert values.shape == (2,) and np.all(np.isnan(values))
+                assert not np.any(s.valid)
+
 
 class TestFcltReport:
     def test_requires_hundred_replicas(self, reference_curves):

@@ -171,10 +171,10 @@ class TestMcConfig:
 def test_enumerable_suite_oracle_agreement(bernoulli):
     """One full (p, weights, n) instance of the oracle-agreement property."""
     wm = st.UniformWeight(0.0, 1.0)
-    env = st.draw_environment(wm, 8, st.derive_stream(1234, 0))
-    segs = [st.Segment(env.weights, bernoulli)]
-    lo = st.psi_sum(segs, 0.0, 1) / env.n
-    hi = float(np.mean(env.weights))
+    weights = st.draw_environment(wm, 8, st.derive_stream(1234, 0))
+    segs = [st.Segment(weights, bernoulli)]
+    lo = st.psi_sum(segs, 0.0, 1) / weights.size
+    hi = float(np.mean(weights))
     for frac in (0.4, 0.7):
         a = lo + frac * (hi - lo)
         exact = st.exact_enum_segments(segs, a)

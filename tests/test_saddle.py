@@ -85,16 +85,16 @@ class TestSolveSaddle:
         assert sol.rate == pytest.approx(entropy, abs=1e-12)
 
     def test_residual_tolerance_invariant(self, gaussian, uniform_weight):
-        env = st.draw_environment(uniform_weight, 500, st.derive_stream(3, 0))
+        weights = st.draw_environment(uniform_weight, 500, st.derive_stream(3, 0))
         for a in (0.05, 0.1, 0.2, 0.3):
-            sol = st.solve_saddle(_seg(env.weights, gaussian), a, 1.0)
+            sol = st.solve_saddle(_seg(weights, gaussian), a, 1.0)
             assert sol.residual <= 1e-12 * max(1.0, abs(a))
             assert sol.sigma2 > 0.0
             assert sol.rate >= 0.0
 
     def test_theta_strictly_increasing_in_a(self, gaussian, uniform_weight):
-        env = st.draw_environment(uniform_weight, 200, st.derive_stream(4, 0))
-        thetas = [st.solve_saddle(_seg(env.weights, gaussian), a, 1.0).theta
+        weights = st.draw_environment(uniform_weight, 200, st.derive_stream(4, 0))
+        thetas = [st.solve_saddle(_seg(weights, gaussian), a, 1.0).theta
                   for a in np.linspace(0.02, 0.3, 12)]
         assert np.all(np.diff(thetas) > 0.0)
 
@@ -119,8 +119,8 @@ class TestSolveSaddle:
         assert sol.theta == pytest.approx(12.0, rel=1e-12)
 
     def test_legendre_duality_maxima(self, gaussian, uniform_weight):
-        env = st.draw_environment(uniform_weight, 300, st.derive_stream(5, 0))
-        segs = _seg(env.weights, gaussian)
+        weights = st.draw_environment(uniform_weight, 300, st.derive_stream(5, 0))
+        segs = _seg(weights, gaussian)
         lo = _psi(segs, 0.0, 1)
         hi = _psi(segs, 1.0, 1)
         rng = np.random.default_rng(11)
@@ -142,8 +142,8 @@ class TestSolveSaddle:
         errors = np.empty((100, len(sizes)))
         for r in range(100):
             for j, n in enumerate(sizes):
-                env = st.draw_environment(uniform_weight, n, st.derive_stream(606, r, j))
-                sol = st.solve_saddle(_seg(env.weights, gaussian), a, 1.0)
+                weights = st.draw_environment(uniform_weight, n, st.derive_stream(606, r, j))
+                sol = st.solve_saddle(_seg(weights, gaussian), a, 1.0)
                 errors[r, j] = abs(sol.theta - theta_det)
         medians = np.median(errors, axis=0)
         assert np.all(np.diff(medians) < 0.0)
@@ -171,10 +171,10 @@ class TestSolveDeterministic:
 
     def test_matches_empirical_solver_for_constant_weights(self, gaussian, unit_weight):
         curves = st.DeterministicCurves(unit_weight, gaussian, 1.0)
-        env = st.draw_environment(unit_weight, 50, st.derive_stream(0, 0))
+        weights = st.draw_environment(unit_weight, 50, st.derive_stream(0, 0))
         for a in np.linspace(0.05, 0.9, 9):
             det_theta, det_rate = st.solve_deterministic(curves, float(a))
-            sol = st.solve_saddle(_seg(env.weights, gaussian), float(a), 1.0)
+            sol = st.solve_saddle(_seg(weights, gaussian), float(a), 1.0)
             assert det_theta == pytest.approx(sol.theta, abs=1e-10)
             assert det_rate == pytest.approx(sol.rate, abs=1e-10)
 

@@ -34,17 +34,17 @@ class TestTcell:
     def test_zero_foreign_copies_reduce_to_plain_tail(self):
         sc = _tcell(z_f=0, w_f=0.0)
         est = tcell_activation_prob(sc, 2718)
-        env = tcell_environment(sc, 2718)
-        sol = st.solve_saddle([Segment(env.weights, Z10)], sc.a, 1.0)
+        weights = tcell_environment(sc, 2718)
+        sol = st.solve_saddle([Segment(weights, Z10)], sc.a, 1.0)
         plain = st.sldp_estimate(sol, sc.n)
         assert est.log_value == plain.log_value
 
     def test_shift_identity_bit_exact(self):
         sc = _tcell()
         est = tcell_activation_prob(sc, 2718)
-        env = tcell_environment(sc, 2718)
+        weights = tcell_environment(sc, 2718)
         shifted = sc.a - sc.z_f * sc.w_f / sc.n
-        sol = st.solve_saddle([Segment(env.weights, Z10)], shifted, 1.0)
+        sol = st.solve_saddle([Segment(weights, Z10)], shifted, 1.0)
         assert est.log_value == st.sldp_estimate(sol, sc.n).log_value
         assert est.a == sc.a
 
@@ -72,14 +72,14 @@ class TestTcell:
 
         sc = _tcell()
         est = tcell_activation_prob(sc, 2718)
-        env = tcell_environment(sc, 2718)
+        weights = tcell_environment(sc, 2718)
         shifted = sc.shifted_threshold
-        segs = [Segment(env.weights, Z10)]
+        segs = [Segment(weights, Z10)]
         sol = st.solve_saddle(segs, shifted, 1.0)
         mc = tilted_mc_segments(segs, shifted, sol.theta,
                                 st.McConfig(batches=100, batch_size=2_000, seed=5))
         assert mc.warnings == () and mc.stderr > 0.0
-        k2, k3, k4 = tilted_lattice_cumulants(env.weights, *Z10.support, sol.theta)
+        k2, k3, k4 = tilted_lattice_cumulants(weights, *Z10.support, sol.theta)
         c1 = bahadur_rao_first_correction(sol.theta * math.sqrt(k2 * sc.n),
                                           k3 / k2**1.5, k4 / k2**2, sc.n)
         assert abs(mc.value - est.value * (1.0 + c1)) <= 4 * mc.stderr
@@ -109,8 +109,8 @@ def _portfolio(qs=(6, 6), a=0.3):
 class TestPortfolio:
     def test_single_block_reduces_bit_exactly(self):
         est = portfolio_loss_prob(_portfolio(qs=(12,)), 5)
-        env = st.draw_environment(INDICATOR, 12, st.derive_stream(5, 0))
-        sol = st.solve_saddle([Segment(env.weights, BERN)], 0.3, 1.0)
+        weights = st.draw_environment(INDICATOR, 12, st.derive_stream(5, 0))
+        sol = st.solve_saddle([Segment(weights, BERN)], 0.3, 1.0)
         assert est.log_value == st.sldp_estimate(sol, 12).log_value
 
     def test_two_blocks_against_enumeration_and_tilted_mc(self):

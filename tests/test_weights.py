@@ -11,22 +11,21 @@ from sharptail.numerics import adaptive_gauss_legendre
 
 class TestDrawEnvironment:
     def test_constant_model(self, unit_weight):
-        env = st.draw_environment(unit_weight, 5, st.derive_stream(0, 0))
-        assert np.array_equal(env.weights, np.ones(5))
+        weights = st.draw_environment(unit_weight, 5, st.derive_stream(0, 0))
+        assert np.array_equal(weights, np.ones(5))
 
     def test_uniform_mean_clt_bound(self, uniform_weight):
-        env = st.draw_environment(uniform_weight, 10**6, st.derive_stream(1, 0))
+        weights = st.draw_environment(uniform_weight, 10**6, st.derive_stream(1, 0))
         # 4 standard errors of a uniform mean: 4 / sqrt(12 * 1e6) ~ 0.00115
-        assert abs(env.weights.mean() - 0.5) < 0.002
+        assert abs(weights.mean() - 0.5) < 0.002
 
     def test_two_point_fraction(self):
         wm = st.TwoPointWeight((0.0, 1.0), (0.5, 0.5))
-        env = st.draw_environment(wm, 10**6, st.derive_stream(2, 0))
-        assert abs(env.weights.mean() - 0.5) < 0.002
+        weights = st.draw_environment(wm, 10**6, st.derive_stream(2, 0))
+        assert abs(weights.mean() - 0.5) < 0.002
 
     def test_degenerate_environment_raises(self):
         zero_sampler = st.CustomWeight(
-            kind_name="always_zero",
             sampler=lambda n, stream: np.zeros(n),
             expect_fn=lambda h: float(h(np.asarray(0.0))),
         )
@@ -34,9 +33,9 @@ class TestDrawEnvironment:
             st.draw_environment(zero_sampler, 4, st.derive_stream(3, 0))
 
     def test_reproducible_given_provenance(self, uniform_weight):
-        w1 = st.draw_environment(uniform_weight, 1000, st.derive_stream(9, 4)).weights
-        w2 = st.draw_environment(uniform_weight, 1000, st.derive_stream(9, 4)).weights
-        w3 = st.draw_environment(uniform_weight, 1000, st.derive_stream(9, 5)).weights
+        w1 = st.draw_environment(uniform_weight, 1000, st.derive_stream(9, 4))
+        w2 = st.draw_environment(uniform_weight, 1000, st.derive_stream(9, 4))
+        w3 = st.draw_environment(uniform_weight, 1000, st.derive_stream(9, 5))
         assert np.array_equal(w1, w2)
         assert not np.array_equal(w1, w3)
 
@@ -44,16 +43,23 @@ class TestDrawEnvironment:
         with pytest.raises(ValueError):
             st.draw_environment(unit_weight, 0, st.derive_stream(0, 0))
 
-    def test_provenance_recorded(self, uniform_weight):
-        env = st.draw_environment(uniform_weight, 10, st.derive_stream(42, 7))
-        assert env.seed_provenance == (42, 7)
+    @pytest.mark.parametrize("sampler", [
+        lambda n, rng: np.ones(n + 1),
+        lambda n, rng: np.ones((n, 1)),
+        lambda n, rng: np.ones(0),
+    ])
+    def test_rejects_malformed_sampler_output(self, sampler):
+        wm = st.CustomWeight(sampler=sampler, expect_fn=lambda h: float(h(np.asarray(1.0))))
+        with pytest.raises(ValueError):
+            st.draw_environment(wm, 4, st.derive_stream(0, 0))
 
-    def test_csv_round_trip(self, uniform_weight, tmp_path):
-        env = st.draw_environment(uniform_weight, 50, st.derive_stream(8, 0))
-        path = tmp_path / "weights.csv"
-        env.to_csv(path)
-        back = np.array([float(line) for line in path.read_text().splitlines()])
-        assert np.array_equal(back, env.weights)
+    def test_rejects_non_float_weights(self):
+        class IntegerWeight(st.WeightModel):
+            def sample(self, n, stream):
+                return np.ones(n, dtype=int)
+
+        with pytest.raises(ValueError):
+            st.draw_environment(IntegerWeight(), 4, st.derive_stream(0, 0))
 
 
 class TestModelValidation:
@@ -75,7 +81,7 @@ class TestModelValidation:
 
     def test_custom_must_certify_nonzero(self):
         with pytest.raises(ValueError):
-            st.CustomWeight(kind_name="x", sampler=lambda n, s: np.ones(n),
+            st.CustomWeight(sampler=lambda n, s: np.ones(n),
                             nonzero_certified=False,
                             expect_fn=lambda h: float(h(np.asarray(1.0))))
 
