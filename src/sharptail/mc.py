@@ -152,9 +152,9 @@ def exact_enum_segments(segments: list[Segment], a: float) -> TailEstimate:
     """Exact tail by full enumeration of lattice outcome tuples.
 
     Every position's summand must have finite support; the total tuple count
-    prod_j s_j is capped at 2**24.  Qualifying tuple probabilities are summed
-    with compensated summation, so the only inexactness is float rounding of
-    the per-tuple products.
+    prod_j s_j is capped at 2**24.  The sum of the qualifying tuple
+    probabilities is exactly rounded, so the only inexactness is float
+    rounding of the per-tuple products.
     """
     values_per_pos: list[np.ndarray] = []
     probs_per_pos: list[np.ndarray] = []

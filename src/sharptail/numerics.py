@@ -1,4 +1,20 @@
-"""Shared numerical kernels: compensated sums, stable sigmoids, quadrature.
+"""Shared numerical kernels: exactly rounded sums, stable sigmoids, quadrature.
+
+``csum`` returns the float64 sum of an array rounded once, bit for bit what
+``math.fsum`` returns, from a handful of vectorised passes.  Each term is
+split by ``np.frexp`` into an exponent e and a fraction m, and m * 2**27 into
+an integer half hi and a fractional half lo = m * 2**27 - hi.  Both halves
+are exact, and the term equals (hi + lo) * 2**(e - 27).  ``np.bincount``
+adds the halves of terms with equal exponent into one bin per exponent.
+While a bin holds at most 2**26 terms, every partial sum of hi is an integer
+and every partial sum of lo a multiple of 2**-26, both of magnitude at most
+2**53, so each addition is exact; past that many terms the bin totals are
+set aside and the bins start again.  The bin totals scaled by 2**(e - 27)
+are then exact too, and one ``math.fsum`` of them rounds the exact total
+once; a zero total comes out as +0.0, as ``fsum`` gives it.  NaN,
+infinities and terms large enough that a prefix of the input or a scaled
+total could overflow go to ``math.fsum`` itself, so its results and its
+``ValueError``/``OverflowError`` hold there as well.
 
 The quadrature here is deliberately small: an adaptive Gauss-Legendre scheme
 with an embedded 8/16-node error estimate and bisection of the worst panel.
@@ -23,18 +39,68 @@ __all__ = [
     "logsumexp",
 ]
 
-# Exactly rounded sum of a float64 sequence; math.fsum accepts ndarrays.
-csum = math.fsum
+_CHUNK = 1 << 16  # terms per vectorised pass
+_BIN_TERMS = 1 << 26  # terms a bin may hold before its partial sums could pass 2**53
+_BIAS = 1073  # frexp exponents of finite nonzero floats start at -1073
+_NBINS = _BIAS + 998  # up to exponent 997, the largest the range check admits
+# scale of both halves of every bin: term = (hi + lo) * 2**(e - 27)
+_BIN_EXP = np.tile(np.arange(-_BIAS - 27, _NBINS - _BIAS - 27, dtype=np.intc), 2)
+
+
+def _bin_values(bins: np.ndarray) -> np.ndarray:
+    """The nonzero bin totals scaled to their exponents; every product is exact."""
+    keep = bins != 0.0
+    return np.ldexp(bins.compress(keep), _BIN_EXP.compress(keep))
+
+
+def csum(x: np.ndarray) -> float:
+    """Exactly rounded sum of a 1-d float64 array; equals ``math.fsum(x)``."""
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    step = max(1, min(n, _CHUNK, _BIN_TERMS))
+    # Below this bound no prefix of x and no scaled bin total can overflow,
+    # so fsum's intermediate OverflowError cannot arise on either side.
+    limit = 2.0 ** 1020 / max(n, 1 << 23)
+    t = np.empty(step)
+    e = np.empty(step, dtype=np.intc)
+    hi = np.empty(step)
+    bins = np.zeros(2 * _NBINS)  # hi totals, then lo totals
+    hi_bins, lo_bins = bins[:_NBINS], bins[_NBINS:]
+    parts = []
+    pending = 0
+    for start in range(0, n, step):
+        c = x[start:start + step]
+        c_min, c_max = c.min(), c.max()
+        if not -limit < c_min <= c_max < limit:
+            return math.fsum(x)
+        k = c.size
+        if pending + k > _BIN_TERMS:
+            parts.append(_bin_values(bins))
+            bins[:] = 0.0
+            pending = 0
+        pending += k
+        tk, ek, hk = t[:k], e[:k], hi[:k]
+        np.frexp(c, out=(tk, ek))
+        np.multiply(tk, 2.0 ** 27, out=tk)
+        np.floor(tk, out=hk)
+        np.subtract(tk, hk, out=tk)
+        np.add(ek, _BIAS, out=ek)
+        hi_bins += np.bincount(ek, weights=hk, minlength=_NBINS)
+        lo_bins += np.bincount(ek, weights=tk, minlength=_NBINS)
+    parts.append(_bin_values(bins))
+    return math.fsum(np.concatenate(parts))
 
 
 def expit(x: np.ndarray | float) -> np.ndarray | float:
     """Numerically stable logistic function 1 / (1 + exp(-x))."""
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    # in place, so a call holds two arrays of x's size besides x itself
+    out = np.negative(x, out=np.empty_like(x))
+    np.minimum(x, out, out=out)  # -|x|, keeping a NaN's sign bit
+    np.exp(out, out=out)
+    d = out + 1.0
+    np.divide(out, d, out=out)  # exp(x) / (1 + exp(x)) for x < 0 and NaN
+    np.divide(1.0, d, out=out, where=x >= 0)
     if out.ndim == 0:
         return float(out)
     return out

@@ -26,7 +26,7 @@ from .errors import DegenerateEnvironment
 from .estimate import TailEstimate, sldp_estimate
 from .rng import derive_stream
 from .saddle import Segment, solve_saddle
-from .weights import TcellWeight, WeightModel, draw_environment
+from .weights import TcellWeight, WeightModel, draw_environment, sample_weights
 
 # not used here: bench/tracing.py patches these two names on this module
 from .numerics import csum  # noqa: F401
@@ -129,7 +129,7 @@ def portfolio_segments(sc: PortfolioScenario, env_seed: int) -> list[Segment]:
     blocks drew weight zero.
     """
     stream = derive_stream(env_seed, _ENV_REPLICA)
-    segments = [Segment(weights=b.w_model.sample(b.q, stream), cm=b.z_model)
+    segments = [Segment(weights=sample_weights(b.w_model, b.q, stream), cm=b.z_model)
                 for b in sc.blocks]
     if not any(np.any(seg.weights != 0.0) for seg in segments):
         raise DegenerateEnvironment("every position drew weight zero")

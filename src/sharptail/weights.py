@@ -38,6 +38,7 @@ __all__ = [
     "UniformWeight",
     "WeightModel",
     "draw_environment",
+    "sample_weights",
 ]
 
 QUAD_REL_TOL = 1e-10
@@ -213,20 +214,28 @@ class CustomWeight(WeightModel):
         )
 
 
-def draw_environment(wm: WeightModel, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n i.i.d. weights; deterministic given the generator's seed.
+def sample_weights(wm: WeightModel, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw n i.i.d. weights; deterministic given the generator's state.
 
     Raises ``ValueError`` unless the sampler (a user callback for
-    :class:`CustomWeight`) returns a 1-d float array of length n, and
-    :class:`DegenerateEnvironment` when every drawn weight is zero (the
-    caller decides whether to abort or reseed; resampling here would bias
-    replica studies).
+    :class:`CustomWeight`) returns a 1-d float array of length n.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     w = wm.sample(n, rng)
     if not (isinstance(w, np.ndarray) and w.dtype == float and w.shape == (n,)):
         raise ValueError(f"weight sampler must return a 1-d float array of length {n}")
+    return w
+
+
+def draw_environment(wm: WeightModel, n: int, rng: np.random.Generator) -> np.ndarray:
+    """:func:`sample_weights`, refusing an environment of zeros.
+
+    Raises :class:`DegenerateEnvironment` when every drawn weight is zero
+    (the caller decides whether to abort or reseed; resampling here would
+    bias replica studies).
+    """
+    w = sample_weights(wm, n, rng)
     if not np.any(w != 0.0):
         raise DegenerateEnvironment(f"all {n} weights are zero")
     return w
