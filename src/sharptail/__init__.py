@@ -54,6 +54,7 @@ from .mc import (
 )
 from .rng import derive_seed, derive_stream
 from .saddle import (
+    DeterministicCurves,
     SaddleSolution,
     Segment,
     psi_sum,
@@ -73,7 +74,6 @@ from .scenarios import (
 from .weights import (
     ConstantWeight,
     CustomWeight,
-    DeterministicCurves,
     TcellWeight,
     TwoPointWeight,
     UniformWeight,

@@ -28,7 +28,7 @@ consistency) then travels with the caller.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -58,7 +58,6 @@ class CumulantModel:
     sampling, and ``support`` for exact enumeration.
     """
 
-    kind: str = "abstract"
     #: (values, probabilities) for finite-support lattice models, else None
     support: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -97,7 +96,6 @@ class GaussianModel(CumulantModel):
     """Centered Gaussian summand with variance ``sigma2``."""
 
     sigma2: float
-    kind: str = field(default="gaussian", init=False)
 
     def __post_init__(self):
         if not (self.sigma2 > 0 and math.isfinite(self.sigma2)):
@@ -139,7 +137,6 @@ class BinomialModel(CumulantModel):
 
     m: int
     p: float
-    kind: str = field(default="binomial", init=False)
 
     def __post_init__(self):
         if not (isinstance(self.m, int) and self.m >= 1):
@@ -201,7 +198,6 @@ class BinomialModel(CumulantModel):
 class CustomModel(CumulantModel):
     """User-supplied model: every callback must be provided explicitly."""
 
-    kind_name: str
     cgf: Callable
     cgf1: Callable
     cgf2: Callable
@@ -209,10 +205,6 @@ class CustomModel(CumulantModel):
     mgf: Callable[[complex], complex]
     tilted: Callable[[np.ndarray, int, np.random.Generator], np.ndarray]
     finite_support: tuple[np.ndarray, np.ndarray] | None = None
-
-    @property
-    def kind(self) -> str:  # type: ignore[override]
-        return self.kind_name
 
     @property
     def support(self):  # type: ignore[override]

@@ -15,8 +15,9 @@ shipped in ``sharptail/schemas`` (unknown keys are rejected), with a handful
 of flag overrides.  Emitted documents are deterministic byte-for-byte for a
 fixed config and seed: they contain no timestamps or volatile fields, and
 runtime metadata goes to stderr instead.  ``output.format: "csv"`` applies to
-estimate records; check-conditions and fclt, whose records have no CSV form,
-reject it.
+estimate records; check-conditions and fclt reject it.  fclt writes its
+covariance pairs as CSV beside its JSON record instead: to ``--csv``, or to
+``<output.path>.csv`` whenever ``output.path`` is set.
 
 Exit codes: 0 success; 2 validation failure; 3 numeric failure (threshold
 out of range, non-convergence, quadrature failure, degenerate inputs);
@@ -55,7 +56,7 @@ from .fclt import fclt_grid, fclt_report, sample_fluctuations
 # mc.tilted_mc_segments sees every call
 from . import mc
 from .rng import derive_stream
-from .saddle import Segment, solve_saddle
+from .saddle import DeterministicCurves, Segment, solve_saddle
 from .scenarios import (
     PortfolioBlock,
     PortfolioScenario,
@@ -65,7 +66,6 @@ from .scenarios import (
 )
 from .weights import (
     ConstantWeight,
-    DeterministicCurves,
     TcellWeight,
     TwoPointWeight,
     UniformWeight,
@@ -191,9 +191,18 @@ def _emit_record(doc: dict, schema_name: str, cfg: dict) -> None:
     _write_output(text, out.get("path"))
 
 
+def _require_finite(value, where: str) -> None:
+    """Reject the NaN and infinities that ``json.load`` and float flags accept."""
+    if isinstance(value, (dict, list)):
+        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+            _require_finite(item, f"{where}/{key}")
+    elif isinstance(value, float) and not math.isfinite(value):
+        raise jsonschema.ValidationError(f"{where} must be finite, got {value}")
+
+
 def _load_config(path: str, overrides: dict, schema_name: str,
                  csv_form: bool = True) -> dict:
-    """Read, override and validate a config.
+    """Read, override and validate a config; every number must be finite.
 
     ``csv_form`` says whether the command's record has a CSV form; when it
     has none, ``output.format: "csv"`` is rejected before any work is done.
@@ -204,6 +213,7 @@ def _load_config(path: str, overrides: dict, schema_name: str,
         if value is not None:
             cfg[key] = value
     validate_document(cfg, schema_name)
+    _require_finite(cfg, "config")
     if not csv_form and cfg.get("output", {}).get("format") == "csv":
         raise jsonschema.ValidationError("this record has no CSV form; use format 'json'")
     return cfg
@@ -314,6 +324,7 @@ def _parse_grid(text: str | None, curves, default_count: int = 9):
         return curves.grid(default_count)
     if "," in text or "." in text:
         grid = [float(tok) for tok in text.split(",") if tok]
+        _require_finite(grid, "--grid")
     else:
         grid = curves.grid(int(text))
     if len(grid) < 1:
@@ -322,6 +333,8 @@ def _parse_grid(text: str | None, curves, default_count: int = 9):
 
 
 def cmd_fclt(args) -> int:
+    if args.replicas < 1:
+        raise ValueError(f"--replicas must be >= 1, got {args.replicas}")
     cfg = _load_config(args.config, {"n": args.n, "seed": args.seed},
                        "run_config.schema.json", csv_form=False)
     curves = DeterministicCurves(build_w_model(cfg["w"]), build_z_model(cfg["z"]),

@@ -37,8 +37,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateEnvironment, InsufficientReplicas, OutOfRange
-from .saddle import Segment, psi_sum, solve_deterministic, solve_saddle
-from .weights import DeterministicCurves, draw_environment
+from .saddle import (DeterministicCurves, Segment, psi_sum, solve_deterministic,
+                     solve_saddle, terms)
+from .weights import draw_environment
 from .rng import derive_stream
 
 __all__ = [
@@ -115,14 +116,10 @@ def fclt_grid(curves: DeterministicCurves, n: int, a_grid) -> FcltGrid:
     """Solve g'(theta) = a once per threshold; raises OutOfRange outside J."""
     a_grid = np.asarray(a_grid, dtype=float)
     solved = [solve_deterministic(curves, a) for a in a_grid.tolist()]
-    theta_grid = np.array([theta for theta, _ in solved])
-
-    def at_theta(curve):
-        return np.array([curve(theta) for theta in theta_grid.tolist()])
-
-    return FcltGrid(curves=curves, n=n, a_grid=a_grid, theta_grid=theta_grid,
-                    rate=np.array([rate for _, rate in solved]),
-                    g=at_theta(curves.g), g1=at_theta(curves.g1), g2=at_theta(curves.g2))
+    thetas = [theta for theta, _ in solved]
+    g, g1, g2 = (np.array([curves.psi(t, order) for t in thetas]) for order in range(3))
+    return FcltGrid(curves=curves, n=n, a_grid=a_grid, theta_grid=np.array(thetas),
+                    rate=np.array([rate for _, rate in solved]), g=g, g1=g1, g2=g2)
 
 
 def sample_fluctuations(grid: FcltGrid, replica: int, seed: int) -> FluctuationSample:
@@ -202,7 +199,7 @@ def fclt_report(samples, grid: FcltGrid) -> FcltReport:
     for i in range(size):
         for j in range(i, size):
             ti, tj = thetas[i], thetas[j]
-            cross = wm.expect(lambda w: cm.f(w * ti) * cm.f(w * tj))
+            cross = wm.expect(lambda w: terms(cm, w, ti, 0) * terms(cm, w, tj, 0))
             analytic_cov[i, j] = analytic_cov[j, i] = cross - grid.g[i] * grid.g[j]
 
     r_hat, residual_gap, delta_gap = residual_gap_matrix(complete, grid)

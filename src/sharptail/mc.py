@@ -161,9 +161,7 @@ def exact_enum_segments(segments: list[Segment], a: float) -> TailEstimate:
     pos_weights: list[float] = []
     for seg in segments:
         if seg.cm.support is None:
-            raise NotEnumerable(
-                f"model kind {seg.cm.kind!r} has no finite lattice support"
-            )
+            raise NotEnumerable(f"{type(seg.cm).__name__} has no finite lattice support")
         vals, probs = seg.cm.support
         for w in seg.weights:
             values_per_pos.append(vals)

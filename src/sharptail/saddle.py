@@ -1,13 +1,15 @@
-"""The empirical CGF kernel and saddle-point solves.
+"""The empirical CGF kernel, its deterministic limit, and saddle-point solves.
 
 For a fixed environment the scaled log-MGF of the weighted sum is
+psi_n(t) = (1/n) sum_j f_j(W_j t); its limit under the weight law is
+g(t) = E[f(W t)].  Both are strictly convex, and their derivatives of order
+k = 0, 1, 2 average one and the same term, :func:`terms`: f(W t), W f'(W t)
+or W^2 f''(W t), over the realized weights (:func:`psi_sum`) or over the
+weight law (:class:`DeterministicCurves`, which also holds the interval J).
 
-    psi_n(t) = (1/n) sum_j f_j(W_j t),
-
-strictly convex with strictly increasing derivative psi_n'.  The positions
-come in :class:`Segment` runs that share one summand model f_j, so the
-non-identically distributed case (Chaganty and Sethuraman 1993) is the
-general form and a single-model environment is one segment.
+The positions come in :class:`Segment` runs that share one summand model
+f_j, so the non-identically distributed case (Chaganty and Sethuraman 1993)
+is the general form and a single-model environment is one segment.
 :func:`psi_sum` is the one kernel behind every psi_n value: one exactly
 rounded sum over the concatenated terms of all segments, so a value depends
 only on the multiset of (weight, model) positions, never on the layout.
@@ -29,17 +31,19 @@ from typing import Callable
 import numpy as np
 
 from .cgf import CumulantModel
-from .errors import NonConvergence, OutOfRange
+from .errors import EmptyInterval, NonConvergence, OutOfRange
 from .numerics import csum
-from .weights import DeterministicCurves
+from .weights import WeightModel
 
 __all__ = [
+    "DeterministicCurves",
     "SaddleSolution",
     "Segment",
     "psi_sum",
     "solve_psi_root",
     "solve_saddle",
     "solve_deterministic",
+    "terms",
     "total_n",
 ]
 
@@ -78,25 +82,55 @@ def total_n(segments: list[Segment]) -> int:
     return int(sum(seg.weights.size for seg in segments))
 
 
+def terms(cm: CumulantModel, w, theta: float, order: int):
+    """f(W theta), W f'(W theta) or W^2 f''(W theta) for order 0, 1 or 2."""
+    if order not in (0, 1, 2):
+        raise ValueError(f"order must be 0, 1 or 2, got {order}")
+    x = w * theta
+    if order == 0:
+        return cm.f(x)
+    if order == 1:
+        return w * cm.f1(x)
+    return w * w * cm.f2(x)
+
+
 def psi_sum(segments: list[Segment], theta: float, order: int) -> float:
-    """Exactly rounded sum of f / W f' / W^2 f'' at W_j * theta over all positions.
+    """Exactly rounded sum of :func:`terms` at theta over all positions.
 
     Not divided by n: tilted MC uses the order-0 sum as its log normaliser,
     and dividing then multiplying back would change bits.
     """
-    if order not in (0, 1, 2):
-        raise ValueError(f"order must be 0, 1 or 2, got {order}")
-    parts = []
-    for seg in segments:
-        w = seg.weights
-        x = w * theta
-        if order == 0:
-            parts.append(np.atleast_1d(seg.cm.f(x)))
-        elif order == 1:
-            parts.append(np.atleast_1d(w * seg.cm.f1(x)))
-        else:
-            parts.append(np.atleast_1d(w * w * seg.cm.f2(x)))
-    return csum(np.concatenate(parts))
+    return csum(np.concatenate([np.atleast_1d(terms(seg.cm, seg.weights, theta, order))
+                                for seg in segments]))
+
+
+class DeterministicCurves:
+    """g and its derivatives, and J = (E[W] E[Z], g'(theta_star))."""
+
+    def __init__(self, wm: WeightModel, cm: CumulantModel, theta_star: float):
+        if not theta_star > 0:
+            raise ValueError(f"theta_star must be positive, got {theta_star}")
+        self.wm = wm
+        self.cm = cm
+        self.theta_star = float(theta_star)
+        j_lo = wm.moment(1) * cm.mean
+        j_hi = self.psi(self.theta_star, 1)
+        if not j_hi > j_lo:
+            raise EmptyInterval(f"J = ({j_lo:.6g}, {j_hi:.6g}) is empty; increase theta_star")
+        self.J = (j_lo, j_hi)
+
+    def psi(self, theta: float, order: int) -> float:
+        """E[terms(W, theta, order)]: g and its first two derivatives."""
+        return self.wm.expect(lambda w: terms(self.cm, w, theta, order))
+
+    def contains(self, a: float) -> bool:
+        """True when a lies strictly inside J."""
+        return self.J[0] < a < self.J[1]
+
+    def grid(self, count: int) -> np.ndarray:
+        """``count`` equally spaced thresholds strictly inside J."""
+        lo, hi = self.J
+        return lo + (hi - lo) * (np.arange(1, count + 1) / (count + 1))
 
 
 def _newton_bisect(
@@ -193,9 +227,5 @@ def solve_deterministic(curves: DeterministicCurves, a: float) -> tuple[float, f
         raise OutOfRange(
             f"a = {a:.6g} outside the open interval J = ({curves.J[0]:.6g}, {curves.J[1]:.6g})"
         )
-
-    def psi(t: float, order: int) -> float:
-        return (curves.g, curves.g1, curves.g2)[order](t)
-
-    sol = solve_psi_root(psi, a, curves.theta_star)
+    sol = solve_psi_root(curves.psi, a, curves.theta_star)
     return sol.theta, sol.rate

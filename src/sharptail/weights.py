@@ -1,20 +1,17 @@
-"""Weight models, realized environments, and deterministic curves.
+"""Weight models and realized environments.
 
 The weights W_j scale the i.i.d. summands; conditioning on them freezes one
 *environment*, the weight array :func:`draw_environment` returns.  A
 :class:`WeightModel` supplies a sampler, moments, and the expectation
-functional E[h(W)] used to build the deterministic curves
+functional E[h(W)] behind the deterministic limit curves.  Expectations are
+evaluated in closed form where the model allows it and otherwise by adaptive
+Gauss-Legendre quadrature at relative tolerance 1e-10, never by sampling:
+downstream fluctuation comparisons need these values far below Monte Carlo
+noise.
 
-    g(t)  = E[f(W t)],    g1(t) = E[W f'(W t)],    g2(t) = E[W^2 f''(W t)],
-
-whose mean map g1 defines the admissible threshold interval
-J = (E[W] E[Z], E[W f'(theta_star W)]).  Expectations are evaluated in closed
-form where the model allows it and otherwise by adaptive Gauss-Legendre
-quadrature at relative tolerance 1e-10, never by sampling: downstream
-fluctuation comparisons need these values far below Monte Carlo noise.
-
-Models that cannot certify P(|W| > 0) > 0 are rejected at construction; a
-weight that is almost surely zero makes the weighted sum degenerate.
+A weight that is almost surely zero makes the weighted sum degenerate.  The
+built-in models reject such a law at construction; :func:`draw_environment`
+refuses a drawn environment of zeros, whatever the model.
 """
 
 from __future__ import annotations
@@ -25,14 +22,12 @@ from typing import Callable
 
 import numpy as np
 
-from .cgf import CumulantModel
-from .errors import DegenerateEnvironment, EmptyInterval
+from .errors import DegenerateEnvironment
 from .numerics import adaptive_gauss_legendre
 
 __all__ = [
     "ConstantWeight",
     "CustomWeight",
-    "DeterministicCurves",
     "TcellWeight",
     "TwoPointWeight",
     "UniformWeight",
@@ -186,18 +181,14 @@ class TcellWeight(WeightModel):
 @dataclass(frozen=True)
 class CustomWeight(WeightModel):
     """User extension: sampler plus either a density on [lo, hi] or an
-    explicit expectation functional.  ``nonzero_certified`` asserts
-    P(|W| > 0) > 0 on the caller's authority."""
+    explicit expectation functional."""
 
     sampler: Callable[[int, np.random.Generator], np.ndarray]
-    nonzero_certified: bool = True
     density: Callable[[np.ndarray], np.ndarray] | None = None
     interval: tuple[float, float] | None = None
     expect_fn: Callable[[Callable], float] | None = None
 
     def __post_init__(self):
-        if not self.nonzero_certified:
-            raise ValueError("weight model must certify P(|W| > 0) > 0")
         if self.expect_fn is None and (self.density is None or self.interval is None):
             raise ValueError("need expect_fn or (density, interval)")
 
@@ -240,56 +231,3 @@ def draw_environment(wm: WeightModel, n: int, rng: np.random.Generator) -> np.nd
         raise DegenerateEnvironment(f"all {n} weights are zero")
     return w
 
-
-class DeterministicCurves:
-    """Quadrature-backed g, g1, g2 plus the admissible interval J.
-
-    Values are memoized per evaluation point; the curves are deterministic,
-    so repeated solves across replicas hit the cache.
-    """
-
-    def __init__(self, wm: WeightModel, cm: CumulantModel, theta_star: float):
-        if not theta_star > 0:
-            raise ValueError(f"theta_star must be positive, got {theta_star}")
-        self.wm = wm
-        self.cm = cm
-        self.theta_star = float(theta_star)
-        self._memo: dict[tuple[int, float], float] = {}
-        j_lo = wm.moment(1) * cm.mean
-        j_hi = self.g1(self.theta_star)
-        if not j_hi > j_lo:
-            raise EmptyInterval(
-                f"J = ({j_lo:.6g}, {j_hi:.6g}) is empty; increase theta_star"
-            )
-        self.J = (j_lo, j_hi)
-
-    def _eval(self, order: int, theta: float) -> float:
-        key = (order, theta)
-        if key not in self._memo:
-            cm = self.cm
-            if order == 0:
-                val = self.wm.expect(lambda w: cm.f(w * theta))
-            elif order == 1:
-                val = self.wm.expect(lambda w: w * cm.f1(w * theta))
-            else:
-                val = self.wm.expect(lambda w: w * w * cm.f2(w * theta))
-            self._memo[key] = val
-        return self._memo[key]
-
-    def g(self, theta: float) -> float:
-        return self._eval(0, float(theta))
-
-    def g1(self, theta: float) -> float:
-        return self._eval(1, float(theta))
-
-    def g2(self, theta: float) -> float:
-        return self._eval(2, float(theta))
-
-    def contains(self, a: float) -> bool:
-        """True when a lies strictly inside J."""
-        return self.J[0] < a < self.J[1]
-
-    def grid(self, count: int) -> np.ndarray:
-        """``count`` equally spaced thresholds strictly inside J."""
-        lo, hi = self.J
-        return lo + (hi - lo) * (np.arange(1, count + 1) / (count + 1))

@@ -25,7 +25,7 @@ def custom_twin():
     so its CF diagnostic runs through the generic per-element fallback."""
     def build(model):
         return st.CustomModel(
-            kind_name="twin", cgf=model.f, cgf1=model.f1, cgf2=model.f2,
+            cgf=model.f, cgf1=model.f1, cgf2=model.f2,
             cgf3=model.f3, mgf=complex_mgf(model), tilted=model.tilted_batch,
         )
     return build

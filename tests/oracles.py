@@ -15,6 +15,8 @@ import itertools
 import math
 from fractions import Fraction
 
+import sharptail as st
+
 # Tabulated upper normal tail at 5 (Abramowitz & Stegun style reference
 # value); used to vet the erfc-based oracle itself.
 Q5_TABULATED = 2.8665e-07
@@ -105,7 +107,7 @@ def bahadur_rao_first_correction(u_sqrt_n: float, lam3: float, lam4: float, n: i
 
 def complex_mgf(model):
     """E exp(zeta Z) of a built-in summand model, in plain complex arithmetic."""
-    if model.kind == "gaussian":
+    if isinstance(model, st.GaussianModel):
         return lambda z: cmath.exp(0.5 * model.sigma2 * z * z)
     return lambda z: (1.0 - model.p + model.p * cmath.exp(z)) ** model.m
 

@@ -206,7 +206,6 @@ class TestTiltedSampling:
 def test_custom_model_matches_gaussian(gaussian):
     sigma2 = 1.0
     custom = st.CustomModel(
-        kind_name="hand_gaussian",
         cgf=lambda t: 0.5 * sigma2 * np.square(t),
         cgf1=lambda t: sigma2 * np.asarray(t, dtype=float),
         cgf2=lambda t: np.full_like(np.asarray(t, dtype=float), sigma2),

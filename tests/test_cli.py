@@ -108,6 +108,8 @@ def test_failure_exit_codes(invoke_full, command, config, flags, code, error):
     ("sample", ("--mode", "naive", "--draws", "0"), "--draws"),
     ("sample", ("--mode", "naive", "--batches", "-1"), "--batches"),
     ("fclt", ("--n", "500", "--replicas", "100", "--grid", "0"), "--grid"),
+    ("fclt", ("--n", "500", "--replicas", "0", "--grid", "3"), "--replicas"),
+    ("fclt", ("--n", "500", "--replicas", "-2", "--grid", "3"), "--replicas"),
 ])
 def test_bad_budgets_exit_2(invoke_full, command, flags, bad):
     got, stdout, stderr = invoke_full(command, RUN, *flags)
@@ -115,6 +117,28 @@ def test_bad_budgets_exit_2(invoke_full, command, flags, bad):
     [line] = stderr.splitlines()
     diagnostic = json.loads(line)
     assert diagnostic["error"] == "ValueError" and bad in diagnostic["message"]
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("command,config,flags,where", [
+    ("approx", dict(RUN, a=NAN), (), "config/a"),
+    ("approx", RUN, ("--a", "nan"), "config/a"),
+    ("approx", dict(RUN, theta_star=INF), (), "config/theta_star"),
+    ("approx", dict(RUN, w={"kind": "two_point", "values": [NAN, 1.0],
+                            "probs": [0.5, 0.5]}), (), "config/w/values/0"),
+    ("fclt", dict(RUN, a_grid=[NAN]), ("--n", "500", "--replicas", "100"),
+     "config/a_grid/0"),
+    ("fclt", RUN, ("--n", "500", "--replicas", "100", "--grid", "0.3,nan"), "--grid"),
+])
+def test_non_finite_numbers_exit_2(invoke_full, command, config, flags, where):
+    # json.load takes NaN and Infinity, and float flags take "nan"
+    got, stdout, stderr = invoke_full(command, config, *flags)
+    assert (got, stdout) == (2, "")
+    [line] = stderr.splitlines()
+    message = json.loads(line)["message"]
+    assert where in message and "finite" in message
 
 
 def assert_csv_matches_json(invoke, command, config, *flags):

@@ -39,9 +39,25 @@ class TestEmpiricalPsi:
         # W^2 f'' = W^2 for unit-variance Gaussian summands: 1 + 4 + 9
         assert psi_sum(_seg([1.0, 2.0, 3.0], gaussian), 0.7, 2) == 14.0
 
-    def test_invalid_order(self, gaussian):
+    def test_invalid_order(self, gaussian, unit_weight):
         with pytest.raises(ValueError):
             psi_sum(_seg([1.0], gaussian), 0.0, 3)
+        with pytest.raises(ValueError):
+            st.DeterministicCurves(unit_weight, gaussian, 1.0).psi(0.0, 3)
+
+
+@pytest.mark.parametrize("cm", [st.BinomialModel(1, 0.5), st.BinomialModel(7, 0.3),
+                                st.GaussianModel(2.5)], ids=["bernoulli", "binomial", "gaussian"])
+@pytest.mark.parametrize("c", [0.3, 1.0, 2.5])
+@pytest.mark.parametrize("n", [1, 64, 4096])
+def test_constant_weights_psi_n_equals_limit_bit_for_bit(cm, c, n):
+    # psi_n and g average the same terms; n equal terms sum exactly to n
+    # times one term when n is a power of two, so dividing by n is exact
+    segments = [st.Segment(np.full(n, c), cm)]
+    curves = st.DeterministicCurves(st.ConstantWeight(c), cm, 1.0)
+    for theta in (-1.5, 0.4, 3.0):
+        for order in (0, 1, 2):
+            assert psi_sum(segments, theta, order) / n == curves.psi(theta, order)
 
 
 @pytest.mark.parametrize("cm", [st.BinomialModel(1, 0.5), st.BinomialModel(7, 0.3),

@@ -79,12 +79,6 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             st.UniformWeight(1.0, 1.0)
 
-    def test_custom_must_certify_nonzero(self):
-        with pytest.raises(ValueError):
-            st.CustomWeight(sampler=lambda n, s: np.ones(n),
-                            nonzero_certified=False,
-                            expect_fn=lambda h: float(h(np.asarray(1.0))))
-
     def test_uniform_expect_density(self):
         # density 1/(d-c) = 2 on [0.25, 0.75] and zero elsewhere
         wm = st.UniformWeight(0.25, 0.75)
@@ -181,15 +175,15 @@ class TestCurves:
         assert lo == pytest.approx(0.0, abs=1e-15)
         assert hi == pytest.approx(1.0 / 3.0, rel=1e-10)
         for theta in np.linspace(0.1, 1.0, 7):
-            assert reference_curves.g1(theta) == pytest.approx(theta / 3.0, rel=1e-10)
-            assert reference_curves.g(theta) == pytest.approx(theta**2 / 6.0, rel=1e-10)
+            assert reference_curves.psi(theta, 1) == pytest.approx(theta / 3.0, rel=1e-10)
+            assert reference_curves.psi(theta, 0) == pytest.approx(theta**2 / 6.0, rel=1e-10)
 
     def test_constant_weight_reduces_to_cgf(self, gaussian, unit_weight):
         curves = st.DeterministicCurves(unit_weight, gaussian, 2.0)
         assert curves.J == pytest.approx((0.0, 2.0), rel=1e-12)
         for theta in (0.3, 1.1, 1.9):
-            assert curves.g(theta) == pytest.approx(theta**2 / 2.0, rel=1e-14)
-            assert curves.g1(theta) == pytest.approx(theta, rel=1e-14)
+            assert curves.psi(theta, 0) == pytest.approx(theta**2 / 2.0, rel=1e-14)
+            assert curves.psi(theta, 1) == pytest.approx(theta, rel=1e-14)
 
     def test_bernoulli_constant_interval(self, bernoulli, unit_weight):
         curves = st.DeterministicCurves(unit_weight, bernoulli, math.log(3.0))
@@ -204,8 +198,8 @@ class TestCurves:
     def test_mean_map_increasing_curvature_positive(self, cm, wm):
         curves = st.DeterministicCurves(wm, cm, 1.0)
         grid = np.linspace(0.0, 1.0, 100)
-        g1_vals = np.array([curves.g1(t) for t in grid])
-        g2_vals = np.array([curves.g2(t) for t in grid])
+        g1_vals = np.array([curves.psi(t, 1) for t in grid])
+        g2_vals = np.array([curves.psi(t, 2) for t in grid])
         assert np.all(np.diff(g1_vals) > 0.0)
         assert np.all(g2_vals > 0.0)
 
@@ -219,7 +213,6 @@ class TestCurves:
     def test_empty_interval_raises(self):
         # broken custom callbacks with decreasing mean map
         broken = st.CustomModel(
-            kind_name="broken",
             cgf=lambda t: -np.square(t),
             cgf1=lambda t: -2.0 * np.asarray(t, dtype=float),
             cgf2=lambda t: np.full_like(np.asarray(t, dtype=float), -2.0),
