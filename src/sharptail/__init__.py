@@ -14,7 +14,6 @@ environment replicas.
 from .cgf import (
     BinomialModel,
     CumulantModel,
-    CustomModel,
     GaussianModel,
 )
 from .errors import (
@@ -73,7 +72,6 @@ from .scenarios import (
 )
 from .weights import (
     ConstantWeight,
-    CustomWeight,
     TcellWeight,
     TwoPointWeight,
     UniformWeight,

@@ -20,16 +20,16 @@ Two built-in models cover the supported closed-form cases:
   Binomial(m, q) with q = expit(tilt + logit p), whose CF modulus is
   (1 - 4 q(1-q) sin^2(y/2))^(m/2); it returns to 1 at y = 2 pi k (lattice).
 
-Everything else goes through :class:`CustomModel`, which takes every callback
-explicitly; the correctness burden (convexity, entire MGF, derivative
-consistency) then travels with the caller.
+Any other law is a :class:`CumulantModel` subclass.  One that defines the
+complex MGF ``mgf`` gets the generic tilted CF from it, one call per element;
+the correctness burden (convexity, entire MGF, derivative consistency) then
+travels with the subclass.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -38,7 +38,6 @@ from .numerics import expit
 __all__ = [
     "BinomialModel",
     "CumulantModel",
-    "CustomModel",
     "GaussianModel",
 ]
 
@@ -54,8 +53,9 @@ class CumulantModel:
     """Interface shared by all summand models.
 
     Subclasses must provide vectorized ``f``, ``f1``, ``f2``, ``f3`` (float in,
-    float out, broadcasting over ndarrays), ``log_abs_tilted_cf``, tilted
-    sampling, and ``support`` for exact enumeration.
+    float out, broadcasting over ndarrays), tilted sampling, ``support`` for
+    exact enumeration, and either ``log_abs_tilted_cf`` or the complex MGF
+    ``mgf`` that its default reads.
     """
 
     #: (values, probabilities) for finite-support lattice models, else None
@@ -73,13 +73,24 @@ class CumulantModel:
     def f3(self, t):
         raise NotImplementedError
 
+    def mgf(self, z: complex) -> complex:
+        raise NotImplementedError
+
     def log_abs_tilted_cf(self, tilt, y, out=None):
         """log |E_tilt exp(i y Z)|, broadcasting ``tilt`` against ``y``.
 
         ``out``, when given, is a float array of the broadcast shape that
-        receives the result; it may be ``y`` itself.
+        receives the result; it may be ``y`` itself.  This generic form is
+        log |M(tilt + i y)| - log |M(tilt)| from ``mgf``, one call per
+        element; the built-in models override it with closed forms.
         """
-        raise NotImplementedError
+        tilt = np.asarray(tilt, dtype=float)
+        num = self._log_modulus(tilt + 1j * np.asarray(y, dtype=float))
+        return np.subtract(num, self._log_modulus(tilt), out=_result(tilt, y, out))
+
+    def _log_modulus(self, zeta: np.ndarray) -> np.ndarray:
+        moduli = [abs(self.mgf(complex(z))) for z in zeta.ravel()]
+        return np.log(moduli).reshape(zeta.shape)
 
     @property
     def mean(self) -> float:
@@ -192,47 +203,3 @@ class BinomialModel(CumulantModel):
         if self.m == 1:
             return (stream.random((size, tilts.size)) < q).astype(float)
         return stream.binomial(self.m, q, size=(size, tilts.size)).astype(float)
-
-
-@dataclass(frozen=True)
-class CustomModel(CumulantModel):
-    """User-supplied model: every callback must be provided explicitly."""
-
-    cgf: Callable
-    cgf1: Callable
-    cgf2: Callable
-    cgf3: Callable
-    mgf: Callable[[complex], complex]
-    tilted: Callable[[np.ndarray, int, np.random.Generator], np.ndarray]
-    finite_support: tuple[np.ndarray, np.ndarray] | None = None
-
-    @property
-    def support(self):  # type: ignore[override]
-        return self.finite_support
-
-    def f(self, t):
-        return self.cgf(t)
-
-    def f1(self, t):
-        return self.cgf1(t)
-
-    def f2(self, t):
-        return self.cgf2(t)
-
-    def f3(self, t):
-        return self.cgf3(t)
-
-    def log_abs_tilted_cf(self, tilt, y, out=None):
-        # generic fallback: log |M(tilt + i y)| - log M(tilt)
-        tilt = np.asarray(tilt, dtype=float)
-        num = self._log_modulus(tilt + 1j * np.asarray(y, dtype=float))
-        return np.subtract(num, self._log_modulus(tilt), out=_result(tilt, y, out))
-
-    def _log_modulus(self, zeta: np.ndarray) -> np.ndarray:
-        """log |M(zeta)|, one callback per element."""
-        moduli = [abs(self.mgf(complex(z))) for z in zeta.ravel()]
-        return np.log(moduli).reshape(zeta.shape)
-
-    def tilted_batch(self, tilts, size, stream):
-        return self.tilted(np.atleast_1d(np.asarray(tilts, dtype=float)), size, stream)
-

@@ -17,7 +17,8 @@ tilted sum (Chaganty and Sethuraman 1993),
         = sqrt(n) * sup_t  prod_j |M(W_j(theta + i t)) / M(W_j theta)|,
 
 over a grid spanning [delta1, delta2 * theta_n], with j running over the
-positions of every segment.  These are diagnostics, not certificates: the
+positions of every segment.  When delta2 * theta_n < delta1 that range is
+empty and no sup is reported.  These are diagnostics, not certificates: the
 limit statements they probe are asymptotic, so degenerate values (e.g. a
 lattice environment where the ratio stays at 1) are reported as data rather
 than raised as errors.
@@ -94,13 +95,14 @@ class ConditionReport:
 
     theta_sqrt_n -- theta_n * sqrt(n); should grow like sqrt(n)
     sigma2       -- tilted variance; should stay bounded away from 0
-    cf_sup       -- sqrt(n) * sup over the t-grid of the CF-ratio product
+    cf_sup       -- sqrt(n) * sup over the t-grid of the CF-ratio product;
+                    None when the range [delta1, delta2 * theta_n] is empty
     t_grid       -- (delta1, delta2, count) that generated the grid
     """
 
     theta_sqrt_n: float
     sigma2: float
-    cf_sup: float
+    cf_sup: float | None
     t_grid: tuple[float, float, int]
 
 
@@ -165,19 +167,21 @@ def check_conditions(
         raise ValueError(f"grid_count must be >= 16, got {grid_count}")
     theta = sol.theta
     n = total_n(segments)
-    t_grid = np.linspace(delta1, delta2 * theta, grid_count)
-    buf = np.empty((min(n, _CF_CHUNK), grid_count))
-    chunk_sums = []
-    for seg in segments:
-        for start in range(0, seg.weights.size, _CF_CHUNK):
-            wj = seg.weights[start:start + _CF_CHUNK, None]
-            y = np.multiply(wj, t_grid, out=buf[:wj.shape[0]])
-            seg.cm.log_abs_tilted_cf(wj * theta, y, out=y)
-            chunk_sums.append(np.sum(y, axis=0))
-    log_prod = np.array([csum(col) for col in np.stack(chunk_sums, axis=1)])
-    # each factor has modulus <= 1; clip roundoff drift above 0
-    log_sup = float(np.minimum(log_prod, 0.0).max())
-    cf_sup = math.sqrt(n) * math.exp(log_sup)
+    cf_sup = None
+    if delta2 * theta >= delta1:  # else the sup range is empty
+        t_grid = np.linspace(delta1, delta2 * theta, grid_count)
+        buf = np.empty((min(n, _CF_CHUNK), grid_count))
+        chunk_sums = []
+        for seg in segments:
+            for start in range(0, seg.weights.size, _CF_CHUNK):
+                wj = seg.weights[start:start + _CF_CHUNK, None]
+                y = np.multiply(wj, t_grid, out=buf[:wj.shape[0]])
+                seg.cm.log_abs_tilted_cf(wj * theta, y, out=y)
+                chunk_sums.append(np.sum(y, axis=0))
+        log_prod = np.array([csum(col) for col in np.stack(chunk_sums, axis=1)])
+        # each factor has modulus <= 1; clip roundoff drift above 0
+        log_sup = float(np.minimum(log_prod, 0.0).max())
+        cf_sup = math.sqrt(n) * math.exp(log_sup)
     return ConditionReport(
         theta_sqrt_n=theta * math.sqrt(n),
         sigma2=sol.sigma2,

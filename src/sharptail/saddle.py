@@ -113,7 +113,7 @@ class DeterministicCurves:
         self.wm = wm
         self.cm = cm
         self.theta_star = float(theta_star)
-        j_lo = wm.moment(1) * cm.mean
+        j_lo = wm.mean * cm.mean
         j_hi = self.psi(self.theta_star, 1)
         if not j_hi > j_lo:
             raise EmptyInterval(f"J = ({j_lo:.6g}, {j_hi:.6g}) is empty; increase theta_star")

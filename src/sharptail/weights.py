@@ -2,7 +2,7 @@
 
 The weights W_j scale the i.i.d. summands; conditioning on them freezes one
 *environment*, the weight array :func:`draw_environment` returns.  A
-:class:`WeightModel` supplies a sampler, moments, and the expectation
+:class:`WeightModel` supplies a sampler, its mean, and the expectation
 functional E[h(W)] behind the deterministic limit curves.  Expectations are
 evaluated in closed form where the model allows it and otherwise by adaptive
 Gauss-Legendre quadrature at relative tolerance 1e-10, never by sampling:
@@ -27,7 +27,6 @@ from .numerics import adaptive_gauss_legendre
 
 __all__ = [
     "ConstantWeight",
-    "CustomWeight",
     "TcellWeight",
     "TwoPointWeight",
     "UniformWeight",
@@ -52,8 +51,9 @@ class WeightModel:
         """E[h(W)] for h continuous on the support of W."""
         raise NotImplementedError
 
-    def moment(self, k: int) -> float:
-        return self.expect(lambda w: np.power(w, k))
+    @property
+    def mean(self) -> float:
+        return self.expect(lambda w: w)
 
 
 @dataclass(frozen=True)
@@ -72,8 +72,9 @@ class ConstantWeight(WeightModel):
     def expect(self, h):
         return float(h(np.asarray(self.c, dtype=float)))
 
-    def moment(self, k):
-        return self.c**k
+    @property
+    def mean(self):
+        return self.c
 
 
 @dataclass(frozen=True)
@@ -97,8 +98,9 @@ class UniformWeight(WeightModel):
             self.c, self.d, QUAD_REL_TOL, QUAD_NODE_CAP,
         )
 
-    def moment(self, k):
-        return (self.d ** (k + 1) - self.c ** (k + 1)) / ((k + 1) * (self.d - self.c))
+    @property
+    def mean(self):
+        return (self.d ** 2 - self.c ** 2) / (2 * (self.d - self.c))
 
 
 @dataclass(frozen=True)
@@ -178,38 +180,11 @@ class TcellWeight(WeightModel):
                                        QUAD_REL_TOL, QUAD_NODE_CAP)
 
 
-@dataclass(frozen=True)
-class CustomWeight(WeightModel):
-    """User extension: sampler plus either a density on [lo, hi] or an
-    explicit expectation functional."""
-
-    sampler: Callable[[int, np.random.Generator], np.ndarray]
-    density: Callable[[np.ndarray], np.ndarray] | None = None
-    interval: tuple[float, float] | None = None
-    expect_fn: Callable[[Callable], float] | None = None
-
-    def __post_init__(self):
-        if self.expect_fn is None and (self.density is None or self.interval is None):
-            raise ValueError("need expect_fn or (density, interval)")
-
-    def sample(self, n, stream):
-        return np.asarray(self.sampler(n, stream), dtype=float)
-
-    def expect(self, h):
-        if self.expect_fn is not None:
-            return float(self.expect_fn(h))
-        lo, hi = self.interval
-        return adaptive_gauss_legendre(
-            lambda w: np.asarray(h(w), dtype=float) * np.asarray(self.density(w), dtype=float),
-            lo, hi, QUAD_REL_TOL, QUAD_NODE_CAP,
-        )
-
-
 def sample_weights(wm: WeightModel, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n i.i.d. weights; deterministic given the generator's state.
 
-    Raises ``ValueError`` unless the sampler (a user callback for
-    :class:`CustomWeight`) returns a 1-d float array of length n.
+    Raises ``ValueError`` unless the sampler, which may be user code in a
+    :class:`WeightModel` subclass, returns a 1-d float array of length n.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")

@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -21,13 +22,15 @@ def bernoulli():
 
 @pytest.fixture(scope="session")
 def custom_twin():
-    """Build a CustomModel with a built-in model's callbacks and complex MGF,
-    so its CF diagnostic runs through the generic per-element fallback."""
+    """A subclass of a built-in model's class with its complex MGF and the
+    base class's tilted CF, so its CF diagnostic runs through the generic
+    per-element fallback."""
     def build(model):
-        return st.CustomModel(
-            cgf=model.f, cgf1=model.f1, cgf2=model.f2,
-            cgf3=model.f3, mgf=complex_mgf(model), tilted=model.tilted_batch,
-        )
+        twin = type("Custom" + type(model).__name__, (type(model),), {
+            "log_abs_tilted_cf": st.CumulantModel.log_abs_tilted_cf,
+            "mgf": staticmethod(complex_mgf(model)),
+        })
+        return twin(**dataclasses.asdict(model))
     return build
 
 

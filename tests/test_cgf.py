@@ -205,14 +205,21 @@ class TestTiltedSampling:
 
 def test_custom_model_matches_gaussian(gaussian):
     sigma2 = 1.0
-    custom = st.CustomModel(
-        cgf=lambda t: 0.5 * sigma2 * np.square(t),
-        cgf1=lambda t: sigma2 * np.asarray(t, dtype=float),
-        cgf2=lambda t: np.full_like(np.asarray(t, dtype=float), sigma2),
-        cgf3=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-        mgf=lambda z: cmath.exp(0.5 * sigma2 * z * z),
-        tilted=lambda tilts, size, stream: stream.standard_normal((size, tilts.size)) + sigma2 * tilts,
-    )
+
+    class Custom(st.CumulantModel):
+        def f(self, t):
+            return 0.5 * sigma2 * np.square(t)
+
+        def f1(self, t):
+            return sigma2 * np.asarray(t, dtype=float)
+
+        def f2(self, t):
+            return np.full_like(np.asarray(t, dtype=float), sigma2)
+
+        def mgf(self, z):
+            return cmath.exp(0.5 * sigma2 * z * z)
+
+    custom = Custom()
     weights = st.draw_environment(st.ConstantWeight(1.0), 50, st.derive_stream(1, 0))
     sol_custom = st.solve_saddle([st.Segment(weights, custom)], 0.5, 1.0)
     sol_builtin = st.solve_saddle([st.Segment(weights, gaussian)], 0.5, 1.0)

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import itertools
 import json
 import math
 
@@ -293,3 +294,121 @@ def test_fclt_masks_all_zero_replicas(invoke_full):
     code, stdout, _ = invoke_full("fclt", ALL_ZERO_PRONE, "--replicas", "400", "--grid", "2")
     assert code == 0
     assert json.loads(stdout)["replicas"] == 156
+
+
+def test_empty_t_range_reports_no_cf_sup(invoke):
+    # theta_n = 0.0483 < delta1 = 0.05: the range [delta1, delta2 theta_n] is
+    # empty, so no grid is probed and cf_sup is null
+    config = dict(RUN, a=0.25)
+    code, approx_out = invoke("approx", config)
+    assert code == 0
+    conditions = json.loads(approx_out)["conditions"]
+    assert conditions["cf_sup"] is None
+    assert conditions["theta_sqrt_n"] < 0.05 * math.sqrt(RUN["n"])
+    code, cond_out = invoke("check-conditions", config)
+    assert code == 0
+    assert json.loads(cond_out)["cf_sup"] is None
+
+
+def test_sample_exact_mode(invoke):
+    code, stdout = invoke("sample", RUN, "--mode", "exact", "--n", "16")
+    assert code == 0
+    doc = json.loads(stdout)
+    weights = st.draw_environment(cli.build_w_model(RUN["w"]), 16,
+                                  st.derive_stream(RUN["seed"], 0))
+    want = st.exact_enum_segments([st.Segment(weights, st.BinomialModel(1, 0.5))], RUN["a"])
+    assert doc["method"] == "exact_enum"
+    assert (doc["p"], doc["log_p"]) == (want.value, want.log_value)
+    assert "draws" not in doc and "stderr" not in doc
+
+
+def test_gaussian_summand_config(invoke):
+    config = dict(RUN, z={"kind": "gaussian", "sigma2": 2.0})
+    code, stdout = invoke("approx", config)
+    assert code == 0
+    weights = st.draw_environment(cli.build_w_model(RUN["w"]), RUN["n"],
+                                  st.derive_stream(RUN["seed"], 0))
+    sol = st.solve_saddle([st.Segment(weights, st.GaussianModel(2.0))], RUN["a"], 1.2)
+    assert json.loads(stdout)["theta"] == sol.theta
+
+
+def test_fclt_default_grid_has_nine_thresholds(invoke):
+    code, stdout = invoke("fclt", RUN, "--replicas", "100")
+    assert code == 0
+    curves = st.DeterministicCurves(cli.build_w_model(RUN["w"]),
+                                    cli.build_z_model(RUN["z"]), RUN["theta_star"])
+    assert json.loads(stdout)["a_grid"] == curves.grid(9).tolist()
+
+
+def test_approx_without_threshold_exits_2(invoke_full):
+    config = {key: value for key, value in RUN.items() if key != "a"}
+    got, stdout, stderr = invoke_full("approx", config)
+    assert (got, stdout) == (2, "")
+    diagnostic = json.loads(stderr.splitlines()[0])
+    assert diagnostic == {"error": "ValidationError",
+                          "message": "approx needs a threshold 'a'"}
+
+
+def test_naive_mc_below_stderr_floor(invoke):
+    code, stdout = invoke("sample", RUN, "--mode", "naive", "--n", "200", "--draws", "500")
+    assert code == 0
+    doc = json.loads(stdout)
+    assert doc["draws"] == 500
+    assert "stderr" not in doc
+    assert "draws_below_stderr_floor" in doc["warnings"]
+
+
+@pytest.fixture
+def saved_records(invoke, tmp_path):
+    """Write the named records of RUN at n = 200 to files; return their paths."""
+    runs = {"sldp": ("approx",), "tilted": ("sample", "--draws", "2000"),
+            "naive": ("sample", "--mode", "naive", "--draws", "2000")}
+    count = itertools.count()
+
+    def save(*names, **overrides):
+        paths = []
+        for name in names:
+            path = tmp_path / f"record{next(count)}.json"
+            command, *flags = runs[name]
+            config = dict(RUN, n=200, output={"path": str(path)}, **overrides)
+            assert invoke(command, config, *flags) == (0, "")
+            paths.append(str(path))
+        return paths
+    return save
+
+
+def test_report_default_table(saved_records, capsys):
+    paths = saved_records("sldp", "tilted")
+    capsys.readouterr()
+    assert cli.run(["report", *paths]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    header, *rows = (line.split() for line in lines)
+    assert header == list(cli.REPORT_CSV_COLUMNS)
+    assert [row[0] for row in rows] == ["sldp_analytic", "tilted_mc"]
+    assert float(rows[0][-1]) == 1.0
+    # the method column is padded to its widest entry
+    starts = {line.index(" " + fields[1]) for line, fields in zip(lines, [header, *rows])}
+    assert starts == {len("sldp_analytic") + 1}
+
+
+def test_report_without_sldp_has_empty_ratios(saved_records, capsys):
+    paths = saved_records("tilted", "naive")
+    capsys.readouterr()
+    assert cli.run(["report", *paths, "--format", "csv"]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert [r["method"] for r in rows] == ["tilted_mc", "naive_mc"]
+    assert [r["ratio_to_sldp"] for r in rows] == ["", ""]
+
+
+@pytest.mark.parametrize("records", [
+    lambda save: save("sldp"),
+    lambda save: save("sldp") + save("tilted", seed=4),
+    lambda save: save("sldp") + save("tilted", a=0.35),
+])
+def test_report_mismatched_runs_exit_2(saved_records, capsys, records):
+    paths = records(saved_records)
+    capsys.readouterr()
+    assert cli.run(["report", *paths]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err.splitlines()[0])["error"] == "MismatchedRuns"

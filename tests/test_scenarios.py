@@ -138,12 +138,12 @@ class TestPortfolio:
     def test_wrong_length_block_sampler_is_rejected(self):
         # a user sampler returning q + 50 weights would otherwise make a
         # 150-position segment in a record that says n = 100
-        long_sampler = st.CustomWeight(
-            sampler=lambda n, stream: stream.uniform(size=n + 50),
-            expect_fn=lambda h: float(h(np.asarray(0.5))),
-        )
+        class LongWeight(st.WeightModel):
+            def sample(self, n, stream):
+                return stream.uniform(size=n + 50)
+
         sc = PortfolioScenario(
-            blocks=(PortfolioBlock(q=100, w_model=long_sampler, z_model=BERN),),
+            blocks=(PortfolioBlock(q=100, w_model=LongWeight(), z_model=BERN),),
             a=0.3)
         with pytest.raises(ValueError, match="length 100"):
             portfolio_segments(sc, 0)

@@ -25,12 +25,12 @@ class TestDrawEnvironment:
         assert abs(weights.mean() - 0.5) < 0.002
 
     def test_degenerate_environment_raises(self):
-        zero_sampler = st.CustomWeight(
-            sampler=lambda n, stream: np.zeros(n),
-            expect_fn=lambda h: float(h(np.asarray(0.0))),
-        )
+        class ZeroWeight(st.WeightModel):
+            def sample(self, n, stream):
+                return np.zeros(n)
+
         with pytest.raises(st.DegenerateEnvironment):
-            st.draw_environment(zero_sampler, 4, st.derive_stream(3, 0))
+            st.draw_environment(ZeroWeight(), 4, st.derive_stream(3, 0))
 
     def test_reproducible_given_provenance(self, uniform_weight):
         w1 = st.draw_environment(uniform_weight, 1000, st.derive_stream(9, 4))
@@ -49,9 +49,12 @@ class TestDrawEnvironment:
         lambda n, rng: np.ones(0),
     ])
     def test_rejects_malformed_sampler_output(self, sampler):
-        wm = st.CustomWeight(sampler=sampler, expect_fn=lambda h: float(h(np.asarray(1.0))))
+        class MalformedWeight(st.WeightModel):
+            def sample(self, n, stream):
+                return sampler(n, stream)
+
         with pytest.raises(ValueError):
-            st.draw_environment(wm, 4, st.derive_stream(0, 0))
+            st.draw_environment(MalformedWeight(), 4, st.derive_stream(0, 0))
 
     def test_rejects_non_float_weights(self):
         class IntegerWeight(st.WeightModel):
@@ -121,10 +124,10 @@ class TestExpectWeighted:
     ])
     def test_declared_moments_match_sampler(self, wm):
         draws = wm.sample(10**6, st.derive_stream(77, 0))
-        for k in (1, 2):
+        for declared, k in ((wm.mean, 1), (wm.expect(np.square), 2)):
             x = draws**k
             se = x.std(ddof=1) / math.sqrt(x.size)
-            assert wm.moment(k) == pytest.approx(x.mean(), abs=5 * se)
+            assert declared == pytest.approx(x.mean(), abs=5 * se)
 
     @pytest.mark.parametrize("wm", [
         st.UniformWeight(0.0, 1.0),
@@ -160,7 +163,7 @@ class TestTcellWeight:
         wm = st.TcellWeight(tau_kind="exponential", rate=1.0)
         tau = (np.arange(2**20) + 0.5) * (60.0 / 2**20)
         vals = np.exp(-1.0 / tau) / tau * np.exp(-tau) * (60.0 / 2**20)
-        assert wm.moment(1) == pytest.approx(float(vals.sum()), rel=1e-7)
+        assert wm.mean == pytest.approx(float(vals.sum()), rel=1e-7)
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -211,17 +214,16 @@ class TestCurves:
         assert np.all(np.diff(grid) > 0)
 
     def test_empty_interval_raises(self):
-        # broken custom callbacks with decreasing mean map
-        broken = st.CustomModel(
-            cgf=lambda t: -np.square(t),
-            cgf1=lambda t: -2.0 * np.asarray(t, dtype=float),
-            cgf2=lambda t: np.full_like(np.asarray(t, dtype=float), -2.0),
-            cgf3=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-            mgf=lambda z: complex(1.0),
-            tilted=lambda tilts, size, stream: np.zeros((size, tilts.size)),
-        )
+        # a broken custom model with decreasing mean map
+        class Broken(st.CumulantModel):
+            def f(self, t):
+                return -np.square(t)
+
+            def f1(self, t):
+                return -2.0 * np.asarray(t, dtype=float)
+
         with pytest.raises(st.EmptyInterval):
-            st.DeterministicCurves(st.ConstantWeight(1.0), broken, 1.0)
+            st.DeterministicCurves(st.ConstantWeight(1.0), Broken(), 1.0)
 
     def test_theta_star_must_be_positive(self, gaussian, uniform_weight):
         with pytest.raises(ValueError):
