@@ -29,6 +29,8 @@ travels with the subclass.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +42,13 @@ __all__ = [
     "CumulantModel",
     "GaussianModel",
 ]
+
+# a Bernoulli fill runs on up to one thread per CPU this process may use,
+# in parts of at least _PART_ELEMS draws
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+_PART_ELEMS = 2**16
+_pool = None  # (pid, ThreadPoolExecutor), made on first use
 
 
 def _result(tilt, y, out) -> np.ndarray:
@@ -198,8 +207,67 @@ class BinomialModel(CumulantModel):
         return out
 
     def tilted_batch(self, tilts, size, stream):
+        """Draw a (size, len(tilts)) matrix; column j is Binomial(m, q_j)
+        with q_j = expit(tilts[j] + logit p).
+
+        For m = 1 the matrix, and the state the stream is left in, are
+        those of ``(stream.random((size, len(tilts))) < q).astype(float)``
+        whatever the CPU count, though the rows are filled on up to one
+        thread per CPU (:func:`_bernoulli_fill`).
+        """
         tilts = np.atleast_1d(np.asarray(tilts, dtype=float))
         q = expit(tilts + self._logit_p())
         if self.m == 1:
-            return (stream.random((size, tilts.size)) < q).astype(float)
+            return _bernoulli_fill(q, size, stream)
         return stream.binomial(self.m, q, size=(size, tilts.size)).astype(float)
+
+
+def _fill_parts(next_part, make, state: dict, q: np.ndarray, out: np.ndarray) -> None:
+    """Fill the row ranges of ``out`` that ``next_part()`` hands out, each
+    from a ``make`` bit generator in ``state`` jumped ahead to its first draw."""
+    bg = make(0)
+    gen = np.random.Generator(bg)
+    while (part := next_part()) is not None:
+        bg.state = state
+        bg.advance(part[0] * q.size)
+        rows = out[part[0]:part[1]]
+        np.less(gen.random(out=rows), q, out=rows)
+
+
+def _bernoulli_fill(q: np.ndarray, size: int, stream: np.random.Generator) -> np.ndarray:
+    """``(stream.random((size, q.size)) < q).astype(float)``, bit for bit.
+
+    The rows are cut into parts, four per worker, that the caller's thread
+    and the pool's threads take in turn as they come free; each part is
+    drawn from a copy of the stream's state jumped ahead to its first draw
+    (see :mod:`~sharptail.rng`).  A thread on a stalled CPU thus holds up
+    one small part, not a fixed share.  The stream then skips all the draws
+    but keeps the buffered 32-bit half that ``advance`` clears.  One CPU,
+    another bit generator, or a fill too small to split runs in the
+    caller's thread from the stream itself.
+    """
+    global _pool
+    out = np.empty((size, q.size))
+    bg = stream.bit_generator
+    parts = min(4 * _WORKERS, size, out.size // _PART_ELEMS)
+    if _WORKERS == 1 or parts <= 1 or not isinstance(bg, (np.random.PCG64, np.random.PCG64DXSM)):
+        return np.less(stream.random(out=out), q, out=out)
+    if _pool is None or _pool[0] != os.getpid():  # a forked child has no pool threads
+        from concurrent.futures import ThreadPoolExecutor
+        _pool = (os.getpid(), ThreadPoolExecutor(max_workers=_WORKERS - 1))
+    firsts = [k * size // parts for k in range(parts + 1)]
+    todo, lock = zip(firsts, firsts[1:]), threading.Lock()
+
+    def next_part():
+        with lock:
+            return next(todo, None)
+
+    state = bg.state
+    futures = [_pool[1].submit(_fill_parts, next_part, type(bg), state, q, out)
+               for _ in range(_WORKERS - 1)]
+    _fill_parts(next_part, type(bg), state, q, out)
+    for future in futures:
+        future.result()
+    bg.advance(out.size)
+    bg.state = {**bg.state, "has_uint32": state["has_uint32"], "uinteger": state["uinteger"]}
+    return out

@@ -19,7 +19,10 @@ one code path.  The tilted log normaliser n psi_n(theta) is the undivided
 
 Draws are generated in fixed-size chunks from per-batch derived streams;
 identical (seed, config) inputs therefore yield bit-identical estimates,
-independent of available memory.
+independent of available memory and of the CPU count.  A Bernoulli chunk
+is filled on several threads, each from the batch stream jumped ahead to
+its rows (the second split in :mod:`~sharptail.rng`); the chunk is the one
+that a single serial draw gives, and each chunk is still one matvec.
 """
 
 from __future__ import annotations

@@ -13,6 +13,14 @@ Derivation is::
     s_{k+1} = splitmix64(s_k ^ index_k)
 
 and the final ``s`` seeds a ``numpy.random.PCG64DXSM`` bit generator.
+
+The second documented split is jump-ahead within one stream.  Each double
+from ``Generator.random`` takes exactly one 64-bit output, so draw k of a
+stream is draw 0 of a copy of its state moved on by
+``bit_generator.advance(k)``.  The Bernoulli sampler
+(:meth:`~sharptail.cgf.BinomialModel.tilted_batch`) fills the rows of one
+draw matrix on several threads this way; the matrix, and the state the
+stream is left in, are those of one serial call whatever the CPU count.
 """
 
 from __future__ import annotations

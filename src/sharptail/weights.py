@@ -100,7 +100,7 @@ class UniformWeight(WeightModel):
 
     @property
     def mean(self):
-        return (self.d ** 2 - self.c ** 2) / (2 * (self.d - self.c))
+        return (self.c + self.d) / 2
 
 
 @dataclass(frozen=True)

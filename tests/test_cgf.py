@@ -2,14 +2,18 @@
 
 import cmath
 import math
+import os
+import signal
 import sys
+import time
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as hst
 
 import sharptail as st
+from sharptail import cgf
 from oracles import central_diff, complex_mgf
 
 # 50-digit evaluation of 10*log(0.5 + 0.5*e) via mpmath:
@@ -201,6 +205,89 @@ class TestTiltedSampling:
     def test_scalar_tilted_sample(self, gaussian):
         x = gaussian.tilted_batch(np.array([0.5]), 1, st.derive_stream(7, 1))
         assert x.shape == (1, 1) and math.isfinite(x[0, 0])
+
+
+FILL_SHAPES = [(1, 5), (7, 3), (209, 10_000), (500, 1000)]
+
+
+def _twin_streams(seed, buffered, bit_generator=np.random.PCG64DXSM):
+    """Two generators in one state; ``buffered`` leaves a 32-bit half cached."""
+    pair = [np.random.Generator(bit_generator(seed)) for _ in range(2)]
+    if buffered:
+        for gen in pair:
+            gen.integers(0, 2**31, dtype=np.int32)
+    return pair
+
+
+def _same_draw(model, tilts, size, stream, twin):
+    """Whether the model's draw equals the single-call Bernoulli draw from
+    the twin; the matrices die here, so a failing example keeps none."""
+    got = model.tilted_batch(tilts, size, stream)
+    want = (twin.random((size, tilts.size)) < model.f1(tilts)).astype(float)
+    return got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def _assert_same_next_draws(stream, twin):
+    assert stream.integers(0, 2**31, dtype=np.int32) == twin.integers(0, 2**31, dtype=np.int32)
+    assert stream.random() == twin.random()
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 7])
+@pytest.mark.parametrize("size,n", FILL_SHAPES)
+@settings(max_examples=8, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=hst.integers(0, 2**64 - 1), buffered=hst.booleans(),
+       p=hst.floats(0.01, 0.99), scale=hst.floats(0.0, 40.0))
+def test_bernoulli_fill_is_one_random_call(monkeypatch, workers, size, n, seed, buffered, p, scale):
+    """Whatever the worker count, the m = 1 draw is the single-call draw
+    ``(random((size, n)) < q).astype(float)`` and leaves the stream where
+    that call leaves it, 32-bit buffer included."""
+    monkeypatch.setattr(cgf, "_WORKERS", workers)
+    model = st.BinomialModel(1, p)
+    tilts = np.linspace(-scale, scale, n)
+    stream, twin = _twin_streams(seed, buffered)
+    assert _same_draw(model, tilts, size, stream, twin)
+    _assert_same_next_draws(stream, twin)
+
+
+def test_bernoulli_fill_saturated_and_other_bit_generator(monkeypatch):
+    monkeypatch.setattr(cgf, "_WORKERS", 2)
+    model = st.BinomialModel(1, 0.5)
+    tilts = np.full(1000, 40.0)
+    assert np.all(model.f1(tilts) == 1.0)
+    stream, twin = _twin_streams(5, True)
+    assert np.all(model.tilted_batch(tilts, 500, stream) == 1.0)
+    twin.random((500, 1000))
+    _assert_same_next_draws(stream, twin)
+    # MT19937 cannot jump by a draw count, so it fills in the caller's thread
+    stream, twin = _twin_streams(6, True, np.random.MT19937)
+    assert _same_draw(model, np.linspace(-2.0, 2.0, 1000), 500, stream, twin)
+    _assert_same_next_draws(stream, twin)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_bernoulli_fill_in_forked_child(monkeypatch):
+    """A child forked after the fill pool was made has none of its threads,
+    so it must make its own pool rather than wait on the parent's."""
+    monkeypatch.setattr(cgf, "_WORKERS", 2)
+    model = st.BinomialModel(1, 0.5)
+    model.tilted_batch(np.zeros(1000), 500, st.derive_stream(1, 0))
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            model.tilted_batch(np.zeros(1000), 500, st.derive_stream(1, 0))
+            code = 0
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60.0
+    while not (done := os.waitpid(pid, os.WNOHANG))[0] and time.monotonic() < deadline:
+        time.sleep(0.02)
+    if not done[0]:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child's fill did not finish")
+    assert os.waitstatus_to_exitcode(done[1]) == 0
 
 
 def test_custom_model_matches_gaussian(gaussian):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import sharptail as st
+from sharptail import cgf
 from oracles import binomial_upper_tail, normal_upper_tail, weighted_bernoulli_tail
 
 
@@ -155,6 +156,30 @@ class TestNaiveMc:
         tilted = st.tilted_mc_segments(segs, 0.7, sol.theta, MC)
         naive = st.naive_mc_segments(segs, 0.7, MC)
         assert tilted.hits != naive.hits
+
+
+def test_estimates_do_not_depend_on_worker_count(monkeypatch, bernoulli, gaussian):
+    """A Bernoulli segment large enough to split its fill, beside a Gaussian
+    one, gives the same estimates on one worker as on two."""
+    stream = st.derive_stream(77, 0)
+    segs = [st.Segment(st.draw_environment(st.UniformWeight(0.0, 1.0), 300, stream), bernoulli),
+            st.Segment(st.draw_environment(st.UniformWeight(0.5, 2.0), 100, stream), gaussian)]
+    a = 0.35
+    theta = st.solve_saddle(segs, a, 1.0).theta
+    cfg = st.McConfig(batches=4, batch_size=3000, seed=8)
+    fills = []
+    fill_parts = cgf._fill_parts
+    monkeypatch.setattr(cgf, "_fill_parts", lambda *args: fills.append(1) or fill_parts(*args))
+    runs = []
+    for workers in (1, 2):
+        monkeypatch.setattr(cgf, "_WORKERS", workers)
+        fills.clear()
+        runs.append((st.tilted_mc_segments(segs, a, theta, cfg),
+                     st.naive_mc_segments(segs, a, cfg), len(fills)))
+    (tilted1, naive1, fills1), (tilted2, naive2, fills2) = runs
+    assert fills2 > fills1  # the two-worker run did split its fills
+    assert tilted1 == tilted2 and naive1 == naive2
+    assert tilted1.hits > 0
 
 
 class TestMcConfig:

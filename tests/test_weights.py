@@ -82,6 +82,15 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             st.UniformWeight(1.0, 1.0)
 
+    def test_uniform_mean_is_the_midpoint(self):
+        # (d^2 - c^2) / (2 (d - c)) cancels catastrophically here: 99,999,797.3
+        assert st.UniformWeight(1e8, 1e8 + 1e-3).mean == 100_000_000.0005
+        narrow = st.UniformWeight(1e4, 1e4 + 1e-8)
+        assert narrow.c <= narrow.mean <= narrow.d
+        # the uniform laws of the bench configs keep the old expression's bits
+        for c, d in ((0.0, 1.0), (0.5, 2.0)):
+            assert st.UniformWeight(c, d).mean == (d ** 2 - c ** 2) / (2 * (d - c))
+
     def test_uniform_expect_density(self):
         # density 1/(d-c) = 2 on [0.25, 0.75] and zero elsewhere
         wm = st.UniformWeight(0.25, 0.75)
