@@ -18,10 +18,11 @@ tilted sum (Chaganty and Sethuraman 1993),
 
 over a grid spanning [delta1, delta2 * theta_n], with j running over the
 positions of every segment.  When delta2 * theta_n < delta1 that range is
-empty and no sup is reported.  These are diagnostics, not certificates: the
-limit statements they probe are asymptotic, so degenerate values (e.g. a
-lattice environment where the ratio stays at 1) are reported as data rather
-than raised as errors.
+empty and no sup is reported.  Fixed j-chunks run on every CPU, each in
+cache-sized row blocks; the bits depend only on the chunk size ``_CF_CHUNK``.
+These are diagnostics, not certificates: the limit statements they probe are
+asymptotic, so degenerate values (e.g. a lattice environment where the ratio
+stays at 1) are reported as data rather than raised as errors.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PrefactorDegenerate
-from .numerics import csum
+from .numerics import csum, run_parts
 from .saddle import SaddleSolution, Segment, total_n
 
 __all__ = [
@@ -63,8 +64,9 @@ _LOG_TINY = math.log(1e-300)
 
 # characteristic-function products are evaluated in j-chunks of fixed size,
 # counted from the start of each segment, so the reduction order (and hence
-# the result) never depends on memory limits
+# the result) never depends on memory limits or the CPU count
 _CF_CHUNK = 4096
+_CF_BLOCK = 256  # rows evaluated at once, so each thread's buffer stays in cache
 
 
 @dataclass(frozen=True)
@@ -157,9 +159,10 @@ def check_conditions(
     accumulated in log space from the models' closed-form tilted CF modulus
     ``log_abs_tilted_cf(W_j theta, W_j t)``: for Binomial(m, p) summands
     (m/2) log1p(-4 q_j(1-q_j) sin^2(W_j t / 2)) with q_j the tilted success
-    probability, and -sigma2 W_j^2 t^2 / 2 for Gaussian ones.  Each j-chunk
-    is built in one real (chunk, grid_count) buffer updated in place, and
-    the chunk sums of all segments are added exactly per grid point.
+    probability, and -sigma2 W_j^2 t^2 / 2 for Gaussian ones.  The j-chunks
+    run on every CPU, each in row blocks of one per-thread buffer; the
+    chunk sums of all segments are then added exactly per grid point.
+    Raises ``ValueError`` when the segments hold no position.
     """
     if not 0.0 < delta1 < delta2:
         raise ValueError(f"need 0 < delta1 < delta2, got ({delta1}, {delta2})")
@@ -167,18 +170,31 @@ def check_conditions(
         raise ValueError(f"grid_count must be >= 16, got {grid_count}")
     theta = sol.theta
     n = total_n(segments)
+    if n == 0:
+        raise ValueError("check_conditions needs at least one position")
     cf_sup = None
     if delta2 * theta >= delta1:  # else the sup range is empty
         t_grid = np.linspace(delta1, delta2 * theta, grid_count)
-        buf = np.empty((min(n, _CF_CHUNK), grid_count))
-        chunk_sums = []
-        for seg in segments:
-            for start in range(0, seg.weights.size, _CF_CHUNK):
-                wj = seg.weights[start:start + _CF_CHUNK, None]
-                y = np.multiply(wj, t_grid, out=buf[:wj.shape[0]])
-                seg.cm.log_abs_tilted_cf(wj * theta, y, out=y)
-                chunk_sums.append(np.sum(y, axis=0))
-        log_prod = np.array([csum(col) for col in np.stack(chunk_sums, axis=1)])
+        chunks = [(seg.cm, seg.weights[start:start + _CF_CHUNK]) for seg in segments
+                  for start in range(0, seg.weights.size, _CF_CHUNK)]
+        chunk_sums = np.zeros((len(chunks), grid_count))
+
+        def sum_chunks(next_part):
+            # row 0 carries the running column sum; numpy adds a C-contiguous
+            # block's rows in order, so this is np.sum of the whole chunk
+            buf = np.empty((_CF_BLOCK + 1, grid_count))
+            while (k := next_part()) is not None:
+                cm, w = chunks[k]
+                for lo in range(0, w.size, _CF_BLOCK):
+                    wj = w[lo:lo + _CF_BLOCK, None]
+                    block = buf[:wj.shape[0] + 1]
+                    block[0] = chunk_sums[k]
+                    y = np.multiply(wj, t_grid, out=block[1:])
+                    cm.log_abs_tilted_cf(wj * theta, y, out=y)
+                    np.sum(block, axis=0, out=chunk_sums[k])
+
+        run_parts(sum_chunks, range(len(chunks)))
+        log_prod = np.array([csum(col) for col in chunk_sums.T])
         # each factor has modulus <= 1; clip roundoff drift above 0
         log_sup = float(np.minimum(log_prod, 0.0).max())
         cf_sup = math.sqrt(n) * math.exp(log_sup)

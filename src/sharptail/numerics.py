@@ -1,4 +1,4 @@
-"""Shared numerical kernels: exactly rounded sums, stable sigmoids, quadrature.
+"""Shared numerical kernels: exact sums, stable sigmoids, quadrature, one worker pool.
 
 ``csum`` returns the float64 sum of an array rounded once, bit for bit what
 ``math.fsum`` returns, from a handful of vectorised passes.  Each term is
@@ -27,7 +27,9 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Callable
+import os
+import threading
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -38,7 +40,13 @@ __all__ = [
     "csum",
     "expit",
     "logsumexp",
+    "run_parts",
 ]
+
+# parts run on up to one thread per CPU this process may use
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+_pool = None  # (pid, ThreadPoolExecutor), made on first use
 
 _FSUM_TERMS = 256  # shorter arrays go to math.fsum
 _CHUNK = 1 << 16  # terms per vectorised pass
@@ -93,6 +101,31 @@ def csum(x: np.ndarray) -> float:
         lo_bins += np.bincount(ek, weights=tk, minlength=_NBINS)
     parts.append(_bin_values(bins))
     return math.fsum(np.concatenate(parts))
+
+
+def run_parts(work: Callable[[Callable[[], object]], None], parts: Sequence) -> None:
+    """Call ``work(next_part)`` on the caller's thread and on up to ``_WORKERS - 1``
+    pool threads (no more than parts); each builds its scratch once, then takes
+    the items of ``parts`` from ``next_part()`` until it returns None.  No result
+    may depend on which thread took a part.  Errors are raised once all calls end."""
+    global _pool
+    todo, lock = iter(parts), threading.Lock()
+
+    def next_part():
+        with lock:
+            return next(todo, None)
+
+    threads = min(_WORKERS, len(parts))
+    # a forked child has none of its parent's pool threads
+    if threads > 1 and (_pool is None or _pool[0] != os.getpid()):
+        from concurrent.futures import ThreadPoolExecutor
+        _pool = (os.getpid(), ThreadPoolExecutor(max_workers=_WORKERS - 1))
+    futures = [_pool[1].submit(work, next_part) for _ in range(threads - 1)]
+    try:
+        work(next_part)
+    finally:
+        for future in futures:
+            future.result()
 
 
 def expit(x: np.ndarray | float) -> np.ndarray | float:

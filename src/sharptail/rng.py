@@ -18,9 +18,9 @@ The second documented split is jump-ahead within one stream.  Each double
 from ``Generator.random`` takes exactly one 64-bit output, so draw k of a
 stream is draw 0 of a copy of its state moved on by
 ``bit_generator.advance(k)``.  The Bernoulli sampler
-(:meth:`~sharptail.cgf.BinomialModel.tilted_batch`) fills the rows of one
-draw matrix on several threads this way; the matrix, and the state the
-stream is left in, are those of one serial call whatever the CPU count.
+(:meth:`~sharptail.cgf.BinomialModel.tilted_batch`) fills one draw matrix
+this way on the pool of :func:`~sharptail.numerics.run_parts`; the matrix,
+and the stream's end state, are those of one serial call on any CPU count.
 """
 
 from __future__ import annotations

@@ -128,3 +128,26 @@ def sample_excess_kurtosis(x) -> float:
 
     z = (x - np.mean(x)) / np.std(x, ddof=1)
     return float(np.mean(z**4) - 3.0)
+
+
+def cf_sup_single_buffer(segments, theta: float, delta1: float, delta2: float,
+                         grid_count: int) -> float:
+    """sqrt(n) times the sup of the CF-ratio product, as one serial kernel
+    computes it: j-chunks of 4096 positions from each segment's start, each
+    evaluated whole in one (min(n, 4096), grid_count) buffer and summed with
+    ``np.sum(y, axis=0)``, then ``math.fsum`` over the chunk sums per grid
+    point.  ``check_conditions`` must match it bit for bit."""
+    import numpy as np
+
+    n = sum(seg.weights.size for seg in segments)
+    t_grid = np.linspace(delta1, delta2 * theta, grid_count)
+    buf = np.empty((min(n, 4096), grid_count))
+    chunk_sums = []
+    for seg in segments:
+        for start in range(0, seg.weights.size, 4096):
+            wj = seg.weights[start:start + 4096, None]
+            y = np.multiply(wj, t_grid, out=buf[:wj.shape[0]])
+            seg.cm.log_abs_tilted_cf(wj * theta, y, out=y)
+            chunk_sums.append(np.sum(y, axis=0))
+    log_prod = np.array([math.fsum(col) for col in np.stack(chunk_sums, axis=1)])
+    return math.sqrt(n) * math.exp(float(np.minimum(log_prod, 0.0).max()))

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as hst
 
 import sharptail as st
-from sharptail import cgf
+from sharptail import numerics
 from oracles import central_diff, complex_mgf
 
 # 50-digit evaluation of 10*log(0.5 + 0.5*e) via mpmath:
@@ -242,7 +242,7 @@ def test_bernoulli_fill_is_one_random_call(monkeypatch, workers, size, n, seed, 
     """Whatever the worker count, the m = 1 draw is the single-call draw
     ``(random((size, n)) < q).astype(float)`` and leaves the stream where
     that call leaves it, 32-bit buffer included."""
-    monkeypatch.setattr(cgf, "_WORKERS", workers)
+    monkeypatch.setattr(numerics, "_WORKERS", workers)
     model = st.BinomialModel(1, p)
     tilts = np.linspace(-scale, scale, n)
     stream, twin = _twin_streams(seed, buffered)
@@ -251,7 +251,7 @@ def test_bernoulli_fill_is_one_random_call(monkeypatch, workers, size, n, seed, 
 
 
 def test_bernoulli_fill_saturated_and_other_bit_generator(monkeypatch):
-    monkeypatch.setattr(cgf, "_WORKERS", 2)
+    monkeypatch.setattr(numerics, "_WORKERS", 2)
     model = st.BinomialModel(1, 0.5)
     tilts = np.full(1000, 40.0)
     assert np.all(model.f1(tilts) == 1.0)
@@ -265,19 +265,13 @@ def test_bernoulli_fill_saturated_and_other_bit_generator(monkeypatch):
     _assert_same_next_draws(stream, twin)
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_bernoulli_fill_in_forked_child(monkeypatch):
-    """A child forked after the fill pool was made has none of its threads,
-    so it must make its own pool rather than wait on the parent's."""
-    monkeypatch.setattr(cgf, "_WORKERS", 2)
-    model = st.BinomialModel(1, 0.5)
-    model.tilted_batch(np.zeros(1000), 500, st.derive_stream(1, 0))
+def _in_forked_child(action) -> None:
+    """Run ``action()`` in a forked child; it must return True within 60 s."""
     pid = os.fork()
     if pid == 0:
         code = 1
         try:
-            model.tilted_batch(np.zeros(1000), 500, st.derive_stream(1, 0))
-            code = 0
+            code = 0 if action() else 1
         finally:
             os._exit(code)
     deadline = time.monotonic() + 60.0
@@ -286,8 +280,30 @@ def test_bernoulli_fill_in_forked_child(monkeypatch):
     if not done[0]:
         os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
-        pytest.fail("the forked child's fill did not finish")
+        pytest.fail("the forked child did not finish")
     assert os.waitstatus_to_exitcode(done[1]) == 0
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_bernoulli_fill_in_forked_child(monkeypatch):
+    """A child forked after the worker pool was made has none of its
+    threads, so it must make its own pool rather than wait on the parent's."""
+    monkeypatch.setattr(numerics, "_WORKERS", 2)
+    model = st.BinomialModel(1, 0.5)
+    want = model.tilted_batch(np.zeros(1000), 500, st.derive_stream(1, 0))
+    _in_forked_child(lambda: np.array_equal(
+        model.tilted_batch(np.zeros(1000), 500, st.derive_stream(1, 0)), want))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_check_conditions_in_forked_child(monkeypatch, bernoulli):
+    """The CF diagnostic shares the pool, so a forked child runs it too."""
+    monkeypatch.setattr(numerics, "_WORKERS", 2)
+    segs = [st.Segment(st.draw_environment(st.UniformWeight(0.0, 1.0), 20_000,
+                                           st.derive_stream(2, 0)), bernoulli)]
+    sol = st.solve_saddle(segs, 0.3, 1.2)
+    want = st.check_conditions(segs, sol).cf_sup
+    _in_forked_child(lambda: st.check_conditions(segs, sol).cf_sup == want)
 
 
 def test_custom_model_matches_gaussian(gaussian):

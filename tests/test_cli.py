@@ -5,6 +5,10 @@ import io
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -412,3 +416,26 @@ def test_report_mismatched_runs_exit_2(saved_records, capsys, records):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err.splitlines()[0])["error"] == "MismatchedRuns"
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs sched_setaffinity and at least 2 CPUs")
+def test_records_identical_on_one_cpu_and_on_all(tmp_path):
+    """``approx`` (several CF chunks) and tilted ``sample`` (split Bernoulli
+    fills) print the same bytes in a child pinned to one CPU, whose worker
+    pool is then never used, as in an unrestricted child."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(RUN, n=20_000)), encoding="utf-8")
+    one_cpu = min(os.sched_getaffinity(0))
+    src = str(Path(st.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    for argv in (["approx"], ["sample", "--mode", "tilted", "--n", "10000", "--draws", "20000"]):
+        outs = []
+        for preexec in (lambda: os.sched_setaffinity(0, {one_cpu}), None):
+            proc = subprocess.run([sys.executable, "-m", "sharptail.cli", argv[0], "--config",
+                                   str(path), *argv[1:]], capture_output=True, env=env,
+                                  preexec_fn=preexec, timeout=300)
+            assert proc.returncode == 0, proc.stderr.decode()
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]
+        assert json.loads(outs[0])["p"] > 0.0

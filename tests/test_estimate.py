@@ -1,12 +1,26 @@
 """Tail assembly and condition diagnostics."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
 import sharptail as st
-from oracles import Q5_TABULATED, normal_upper_tail
+from sharptail import estimate, numerics
+from oracles import Q5_TABULATED, cf_sup_single_buffer, normal_upper_tail
+
+# ragged layouts: no segment is a multiple of the 256-row block, and two
+# straddle the 4096-position chunk
+LAYOUTS = [(1, 255, 4095, 4097, 9000), (9000, 4097, 1, 4095, 255)]
+MIXED_MODELS = [st.BinomialModel(1, 0.5), st.BinomialModel(3, 0.2), st.GaussianModel(1.0)]
+
+
+def _mixed_segments(sizes):
+    stream = st.derive_stream(41, 0)
+    return [st.Segment(st.draw_environment(st.UniformWeight(0.0, 1.0), size, stream),
+                       MIXED_MODELS[k % len(MIXED_MODELS)])
+            for k, size in enumerate(sizes)]
 
 
 class TestSldpEstimate:
@@ -156,3 +170,56 @@ class TestCheckConditions:
         rep = st.check_conditions(segs, sol, 0.3, 0.6001 / sol.theta, 16)
         lo = math.sqrt(50) * math.exp(-50 * 0.09 / 2.0)
         assert rep.cf_sup == pytest.approx(lo, rel=1e-10)
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("grid_count", [16, 17, 512])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_cf_sup_is_the_single_buffer_kernel_bit_for_bit(monkeypatch, layout, grid_count, workers):
+    """Row blocks on any number of threads give exactly the sup of one
+    serial (chunk, grid_count) buffer per j-chunk."""
+    monkeypatch.setattr(numerics, "_WORKERS", workers)
+    segs = _mixed_segments(layout)
+    sol = st.solve_saddle(segs, 0.35, 1.2)
+    rep = st.check_conditions(segs, sol, 0.05, 1.0, grid_count)
+    assert rep.cf_sup == cf_sup_single_buffer(segs, sol.theta, 0.05, 1.0, grid_count)
+
+
+@pytest.mark.parametrize("block", [1, 7, 4096, 5000])
+def test_cf_sup_does_not_depend_on_block_size(monkeypatch, block):
+    monkeypatch.setattr(numerics, "_WORKERS", 2)
+    monkeypatch.setattr(estimate, "_CF_BLOCK", block)
+    segs = _mixed_segments(LAYOUTS[0])
+    sol = st.solve_saddle(segs, 0.35, 1.2)
+    rep = st.check_conditions(segs, sol, 0.05, 1.0, 17)
+    assert rep.cf_sup == cf_sup_single_buffer(segs, sol.theta, 0.05, 1.0, 17)
+
+
+def test_cf_sup_under_thread_switch_stress(monkeypatch):
+    """More workers than CPUs and a thread switch every few microseconds:
+    a chunk taken twice or never would change the sup."""
+    monkeypatch.setattr(numerics, "_WORKERS", 7)
+    segs = _mixed_segments([300] * 60)
+    sol = st.solve_saddle(segs, 0.35, 1.2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        got = [st.check_conditions(segs, sol, 0.05, 1.0, 16).cf_sup for _ in range(5)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [cf_sup_single_buffer(segs, sol.theta, 0.05, 1.0, 16)] * 5
+
+
+def test_no_positions_is_named(gaussian):
+    sol = st.solve_saddle([st.Segment(np.ones(10), gaussian)], 0.5, 1.0)
+    for segs in ([], [st.Segment(np.ones(0), gaussian), st.Segment(np.ones(0), gaussian)]):
+        with pytest.raises(ValueError, match="at least one position"):
+            st.check_conditions(segs, sol)
+
+
+def test_empty_segment_leaves_cf_sup_unchanged(bernoulli, gaussian, uniform_weight):
+    weights = st.draw_environment(uniform_weight, 5_000, st.derive_stream(13, 0))
+    segs = [st.Segment(weights[:4100], bernoulli), st.Segment(weights[4100:], gaussian)]
+    sol = st.solve_saddle(segs, 0.3, 1.2)
+    with_empty = [segs[0], st.Segment(np.ones(0), bernoulli), segs[1]]
+    assert st.check_conditions(with_empty, sol).cf_sup == st.check_conditions(segs, sol).cf_sup

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import sharptail as st
-from sharptail import cgf
+from sharptail import numerics
 from oracles import binomial_upper_tail, normal_upper_tail, weighted_bernoulli_tail
 
 
@@ -167,12 +167,13 @@ def test_estimates_do_not_depend_on_worker_count(monkeypatch, bernoulli, gaussia
     a = 0.35
     theta = st.solve_saddle(segs, a, 1.0).theta
     cfg = st.McConfig(batches=4, batch_size=3000, seed=8)
-    fills = []
-    fill_parts = cgf._fill_parts
-    monkeypatch.setattr(cgf, "_fill_parts", lambda *args: fills.append(1) or fill_parts(*args))
+    fills = []  # one entry per thread that ran part of a fill
+    run_parts = numerics.run_parts
+    monkeypatch.setattr(numerics, "run_parts", lambda work, parts: run_parts(
+        lambda next_part: fills.append(1) or work(next_part), parts))
     runs = []
     for workers in (1, 2):
-        monkeypatch.setattr(cgf, "_WORKERS", workers)
+        monkeypatch.setattr(numerics, "_WORKERS", workers)
         fills.clear()
         runs.append((st.tilted_mc_segments(segs, a, theta, cfg),
                      st.naive_mc_segments(segs, a, cfg), len(fills)))
